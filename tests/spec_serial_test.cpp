@@ -18,6 +18,10 @@
 #include "edc/spec/fleet_spec.h"
 #include "edc/spec/serialize.h"
 #include "edc/spec/system_spec.h"
+#include "edc/sim/result_io.h"
+#include "edc/sweep/batch.h"
+#include "edc/sweep/grid.h"
+#include "edc/sweep/runner.h"
 #include "edc/workloads/program.h"
 
 namespace {
@@ -270,6 +274,90 @@ std::vector<NamedFleet> covering_fleets() {
   return fleets;
 }
 
+// ---------------------------------------------------- result pinning -----
+// Whole-SimResult pins: every serializable source family x every built-in
+// policy family x four loop modes, run through both the scalar and the
+// batched runner. batch_diff_test and fleet_test compare two execution
+// paths against each other; these hashes pin what both must produce, so a
+// refactor of the shared stepping loop cannot drift the two together
+// unseen. They pin binary64 results of this compiler/libm family: a diff
+// means simulated behaviour changed.
+
+struct NamedSource {
+  std::string name;
+  spec::SourceSpec source;
+};
+
+std::vector<NamedSource> pinned_sources() {
+  std::vector<double> v_samples, p_samples;
+  for (int i = 0; i <= 40; ++i) {
+    v_samples.push_back(i % 10 < 6 ? 3.3 : 0.0);
+    p_samples.push_back(i % 8 < 5 ? 3e-3 : 0.0);
+  }
+  trace::RfFieldSource::Params rf;
+  rf.burst_length = 0.1;
+  rf.burst_period = 0.25;
+  spec::CoupledRfPower coupled;
+  coupled.field = rf;
+  coupled.field.field_power = 4e-3;
+  coupled.seed = 3;
+  coupled.horizon = 1.0;
+  coupled.gain = 0.5;
+  coupled.window_period = 0.2;
+  coupled.window_duty = 0.5;
+  return {
+      {"sine", spec::SineSource{3.3, 5.0, 0.0, 50.0}},
+      {"dc", spec::DcSource{3.3, 50.0}},
+      {"square", spec::SquareSource{3.3, 10.0, 0.5, 0.0, 50.0}},
+      {"wind", spec::WindSource{{}, 3, 1.0}},
+      {"kinetic", spec::KineticSource{{}, 5, 1.0}},
+      {"voltage-trace",
+       spec::VoltageTraceSource{trace::Waveform(0.0, 0.01, v_samples), 50.0, "trace"}},
+      {"constant-power", spec::ConstantPower{2e-3}},
+      {"markov", spec::MarkovPower{4e-3, 0.05, 0.05, 11, 1.0}},
+      {"rf", spec::RfFieldPower{rf, 2, 1.0}},
+      {"coupled-rf", coupled},
+      {"indoor-pv", spec::IndoorPvPower{{}, 4, 1}},
+      {"solar", spec::SolarPower{{}, 6, 1}},
+      {"power-trace",
+       spec::PowerTraceSource{trace::Waveform(0.0, 0.01, p_samples), "ptrace"}},
+  };
+}
+
+/// One grid per source family: policy family x loop mode. Every point of a
+/// grid shares the source and lattice, so the batched runner steps each
+/// grid as multi-lane lockstep kernels.
+sweep::Grid pinned_grid(const NamedSource& named) {
+  spec::SystemSpec base;
+  base.source = named.source;
+  base.storage.capacitance = 22e-6;
+  base.storage.bleed = 20000.0;
+  base.workload.kind = "crc";
+  base.sim.t_end = 0.25;
+  sweep::Grid grid(std::move(base));
+  grid.axis("policy",
+            {{"hibernus", [](spec::SystemSpec& s) { s.policy = spec::Hibernus{}; }},
+             {"none", [](spec::SystemSpec& s) { s.policy = spec::NoCheckpoint{}; }},
+             {"hibernus++",
+              [](spec::SystemSpec& s) { s.policy = spec::HibernusPlusPlus{}; }},
+             {"quickrecall", [](spec::SystemSpec& s) { s.policy = spec::QuickRecall{}; }},
+             {"nvp", [](spec::SystemSpec& s) { s.policy = spec::Nvp{}; }},
+             {"mementos", [](spec::SystemSpec& s) { s.policy = spec::Mementos{}; }},
+             {"burst", [](spec::SystemSpec& s) { s.policy = spec::BurstTask{}; }},
+             {"adaptive", [](spec::SystemSpec& s) { s.policy = spec::AdaptiveBuffer{}; }}})
+      .axis("mode",
+            {{"plain", [](spec::SystemSpec&) {}},
+             {"probed+governed",
+              [](spec::SystemSpec& s) {
+                s.sim.probe_interval = 1e-3;
+                s.governor.emplace();
+              }},
+             {"macro", [](spec::SystemSpec& s) { s.sim.macro_stepping = true; }},
+             {"fastpath-off",
+              [](spec::SystemSpec& s) { s.sim.quiescent_fast_path = false; }}});
+  return grid;
+}
+
 TEST(SpecSerial, RoundTripIsByteIdentical) {
   for (const NamedSpec& named : covering_specs()) {
     SCOPED_TRACE(named.name);
@@ -449,14 +537,52 @@ std::string hash_hex(std::uint64_t hash) {
 }
 
 struct GoldenFile {
-  std::string name;  // file name under tests/golden/
-  std::string what;  // one-line description for the file header
+  std::string name;    // file name under tests/golden/
+  std::string header;  // '#' comment block written above the entries
   std::map<std::string, std::string> (*compute)();
 };
 
+std::string spec_golden_header(const std::string& what) {
+  return "# FNV-1a-64 of the canonical serialization (spec format v" +
+         std::to_string(spec::kSpecFormatVersion) +
+         ") of tests/spec_serial_test.cpp's\n# " + what +
+         ". EDC_UPDATE_GOLDEN=1 regenerates every\n"
+         "# golden file in one pass; a diff here invalidates every cache\n"
+         "# entry, so bump spec::kSpecFormatVersion alongside it.\n";
+}
+
+/// FNV-1a-64 of every pinned result, keyed source/policy/mode/runner. The
+/// batched rows must also really come from the lockstep kernel.
+std::map<std::string, std::string> pinned_result_hashes() {
+  std::map<std::string, std::string> entries;
+  for (const NamedSource& source : pinned_sources()) {
+    const sweep::Grid grid = pinned_grid(source);
+    sweep::RunnerOptions scalar;
+    scalar.threads = 1;
+    sweep::RunnerOptions batch = scalar;
+    batch.batch = true;
+    batch.batch_lanes = 8;
+    sweep::RunReport report;
+    const auto scalar_rows = sweep::Runner(scalar).run(grid);
+    const auto batch_rows = sweep::Runner(batch).run(grid, &report);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const sweep::Point point = grid.point(i);
+      const std::string key = source.name + "/" + point.labels[0] + "/" + point.labels[1];
+      entries[key + "/scalar"] =
+          hash_hex(spec::fnv1a64(sim::serialize_result(scalar_rows[i])));
+      entries[key + "/batch"] =
+          hash_hex(spec::fnv1a64(sim::serialize_result(batch_rows[i])));
+      if (report.provenance[i] != sweep::kProvenanceBatch) {
+        ADD_FAILURE() << key << " fell back to the scalar path";
+      }
+    }
+  }
+  return entries;
+}
+
 const std::vector<GoldenFile>& golden_registry() {
   static const std::vector<GoldenFile> registry = {
-      {"spec_hashes.txt", "covering SystemSpecs (spec::spec_hash)",
+      {"spec_hashes.txt", spec_golden_header("covering SystemSpecs (spec::spec_hash)"),
        [] {
          std::map<std::string, std::string> entries;
          for (const NamedSpec& named : covering_specs()) {
@@ -464,7 +590,7 @@ const std::vector<GoldenFile>& golden_registry() {
          }
          return entries;
        }},
-      {"fleet_hashes.txt", "covering FleetSpecs (spec::fleet_hash)",
+      {"fleet_hashes.txt", spec_golden_header("covering FleetSpecs (spec::fleet_hash)"),
        [] {
          std::map<std::string, std::string> entries;
          for (const NamedFleet& named : covering_fleets()) {
@@ -472,6 +598,14 @@ const std::vector<GoldenFile>& golden_registry() {
          }
          return entries;
        }},
+      {"result_hashes.txt",
+       "# FNV-1a-64 of sim::serialize_result (result format v" +
+           std::to_string(sim::kResultFormatVersion) +
+           ") for tests/spec_serial_test.cpp's\n"
+           "# pinned grid: source family / policy family / loop mode / runner.\n"
+           "# A diff here means simulated behaviour changed. EDC_UPDATE_GOLDEN=1\n"
+           "# regenerates every golden file in one pass.\n",
+       pinned_result_hashes},
   };
   return registry;
 }
@@ -488,11 +622,7 @@ TEST(SpecSerial, GoldenHashesAreStableAcrossRuns) {
       const std::string path = golden_dir + file.name;
       std::ofstream out(path, std::ios::trunc);
       ASSERT_TRUE(out.good()) << "cannot write " << path;
-      out << "# FNV-1a-64 of the canonical serialization (spec format v"
-          << spec::kSpecFormatVersion << ") of tests/spec_serial_test.cpp's\n"
-          << "# " << file.what << ". EDC_UPDATE_GOLDEN=1 regenerates every\n"
-          << "# golden file in one pass; a diff here invalidates every cache\n"
-          << "# entry, so bump spec::kSpecFormatVersion alongside it.\n";
+      out << file.header;
       for (const auto& [name, hex] : file.compute()) out << name << ' ' << hex << '\n';
     }
     GTEST_SKIP() << "golden files regenerated under " << golden_dir;
