@@ -3,25 +3,26 @@
 //
 // The sweep runner groups grid points whose source/front-end/lattice axes
 // agree structurally (sweep/batch.h); each group becomes one BatchKernel.
-// Per step the kernel gathers the lanes' node state into contiguous
+// Every lane is a sim::LaneCore — the same per-lane stepping core
+// Simulator::run drives — so span booking and the whole post-step sequence
+// (supply events, MCU advance, governor, transitions, probes, termination)
+// have one definition. The kernel adds only what is batch-specific: per
+// step it gathers the fine-stepping lanes' node state into contiguous
 // structure-of-arrays blocks, advances the node ODE for all of them with
 // one shared source evaluation per substep instant
-// (circuit::SupplyNode::step_lanes — the vectorizable inner loop), then
-// replays the scalar simulator loop's post-step sequence per lane in its
-// exact order: supply events, MCU advance, governor, transition recording,
-// probes, termination. Everything discrete stays scalar per lane, so each
-// lane's SimResult is bit-identical to Simulator::run() on the same system
-// — the contract tests/batch_diff_test.cpp holds across every source and
-// policy family.
+// (circuit::SupplyNode::step_lanes — the vectorizable inner loop), and
+// scatters the results back into each lane's end_step. Each lane's
+// SimResult is therefore bit-identical to Simulator::run() on the same
+// system — the contract tests/batch_diff_test.cpp holds across every
+// source and policy family.
 //
 // Lanes diverge: the quiescent engine jumps one lane over a span while its
 // neighbours fine-step, and lanes finish at different times (t_end and
 // stop_on_completion are per-lane). The kernel handles both by lockstep
 // compaction: each round it advances only the lanes at the *minimum*
 // lattice step; span-jumped lanes simply wait (masked out) until the rest
-// catch up, and finished lanes are peeled out of the working set. A lane
-// whose planner keeps it permanently ahead costs nothing but its plan()
-// calls.
+// catch up, and finished lanes drop out of the working set. A lane whose
+// planner keeps it permanently ahead costs nothing but its plan() calls.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +33,7 @@
 #include "edc/common/units.h"
 #include "edc/mcu/hooks.h"
 #include "edc/mcu/mcu.h"
-#include "edc/sim/quiescent_engine.h"
+#include "edc/sim/lane_core.h"
 #include "edc/sim/simulator.h"
 
 namespace edc::sim {
@@ -54,9 +55,11 @@ struct BatchLane {
 
 class BatchKernel {
  public:
-  /// Validates the lockstep preconditions (>= 1 lane; shared dt/substeps;
-  /// batchable driver) and takes a copy of the lane table. The pointed-to
-  /// parts must outlive the kernel.
+  /// Validates the lockstep preconditions (>= 1 lane with all required
+  /// parts; shared dt and node_substeps; a batchable driver) and builds one
+  /// LaneCore per lane, which validates each lane's own lattice. Throws
+  /// std::invalid_argument on any violation. The pointed-to parts must
+  /// outlive the kernel.
   explicit BatchKernel(std::vector<BatchLane> lanes);
 
   /// Runs every lane to its own horizon and returns one SimResult per lane,
@@ -64,20 +67,8 @@ class BatchKernel {
   std::vector<SimResult> run();
 
  private:
-  struct LaneState;
-
-  /// Books one planned quiescent span on a lane — probe replay, time and
-  /// energy booking, lattice jump — exactly as the scalar loop does.
-  void book_span(LaneState& lane, const QuiescentSpan& span) const;
-
-  /// The scalar loop's post-step sequence for one lane that just took a
-  /// fine step ending at voltage `v_now`.
-  void post_step(LaneState& lane, Volts v_now);
-
-  /// End-of-run bookkeeping: totals, probe waveforms, final snapshots.
-  void finalize(LaneState& lane) const;
-
   std::vector<BatchLane> lanes_;
+  std::vector<LaneCore> cores_;  ///< cores_[i] steps lanes_[i]
 };
 
 }  // namespace edc::sim

@@ -65,10 +65,10 @@ QuiescentEngine::QuiescentEngine(const SimConfig& config,
                                  const circuit::SupplyNode& node,
                                  const circuit::SupplyDriver& driver,
                                  const mcu::Mcu& mcu)
-    : config_(&config), node_(&node), driver_(&driver), mcu_(&mcu) {}
+    : config_(config), node_(&node), driver_(&driver), mcu_(&mcu) {}
 
 bool QuiescentEngine::enabled() const noexcept {
-  return config_->quiescent_fast_path || config_->macro_stepping;
+  return config_.quiescent_fast_path || config_.macro_stepping;
 }
 
 std::optional<QuiescentSpan> QuiescentEngine::plan(Seconds t,
@@ -80,30 +80,30 @@ std::optional<QuiescentSpan> QuiescentEngine::plan(Seconds t,
     // certified charging ramp toward it, so the span planners stop
     // strictly before any boot; at or above the threshold the fine path
     // must run (it will boot the MCU this step).
-    if (config_->macro_stepping && node_->voltage() < mcu_->power().v_on) {
+    if (config_.macro_stepping && node_->voltage() < mcu_->power().v_on) {
       if (auto span = plan_off(t, max_steps)) return span;
-      if (config_->charge_spans) {
+      if (config_.charge_spans) {
         if (auto span = plan_charge(t, max_steps)) return span;
       }
-      if (config_->ramp_spans) {
+      if (config_.ramp_spans) {
         if (auto span = plan_ramp(t, max_steps)) return span;
       }
     }
     // The bit-exact dead-node skip also covers drivers without usable
     // hints (per-substep probing), so try it even when a macro plan
     // found no provably-quiet step.
-    if (config_->quiescent_fast_path) return plan_dead(t, max_steps);
+    if (config_.quiescent_fast_path) return plan_dead(t, max_steps);
     return std::nullopt;
   }
-  if (config_->macro_stepping &&
+  if (config_.macro_stepping &&
       (state == mcu::McuState::sleep || state == mcu::McuState::wait ||
        state == mcu::McuState::done) &&
       mcu_->wake_is_comparator_driven()) {
     if (auto span = plan_low_power(t, max_steps)) return span;
-    if (config_->charge_spans) {
+    if (config_.charge_spans) {
       if (auto span = plan_charge(t, max_steps)) return span;
     }
-    if (config_->ramp_spans) return plan_ramp(t, max_steps);
+    if (config_.ramp_spans) return plan_ramp(t, max_steps);
   }
   return std::nullopt;
 }
@@ -123,7 +123,7 @@ std::optional<QuiescentSpan> QuiescentEngine::plan_dead(
   span.steps = 1;
   span.v_end = 0.0;
   span.decay = node_->decay_from(0.0, 0.0);
-  const Seconds dt = config_->dt;
+  const Seconds dt = config_.dt;
   // One quiescent_until() hint covers a whole dead span: a step fully
   // inside the cached quiet window skips on a single comparison instead of
   // one virtual driver probe per ODE substep. Spans stay single-step so
@@ -139,8 +139,8 @@ std::optional<QuiescentSpan> QuiescentEngine::plan_dead(
   // No usable hint (or the window ends mid-step): fall back to probing the
   // substep instants. The hint is conservative, so the final decision is
   // identical to the historical per-substep check.
-  const Seconds h = dt / static_cast<double>(config_->node_substeps);
-  for (int i = 0; i < config_->node_substeps; ++i) {
+  const Seconds h = dt / static_cast<double>(config_.node_substeps);
+  for (int i = 0; i < config_.node_substeps; ++i) {
     if (driver_->current_into(0.0, t + h * static_cast<double>(i)) > 0.0) {
       return std::nullopt;
     }
@@ -150,13 +150,13 @@ std::optional<QuiescentSpan> QuiescentEngine::plan_dead(
 
 std::optional<QuiescentSpan> QuiescentEngine::plan_off(
     Seconds t, std::uint64_t max_steps) const {
-  const Seconds dt = config_->dt;
+  const Seconds dt = config_.dt;
   const Volts v0 = node_->voltage();
   const Amps off_leakage = mcu_->current_draw(v0, t);
   QuiescentSpan span;
   span.draw = off_leakage;
 
-  if (v0 <= config_->macro_v_tol) {
+  if (v0 <= config_.macro_v_tol) {
     // Dead (or tolerance-dead) node: nothing decays, so the span is limited
     // by driver activity alone. The sub-tolerance residual charge is booked
     // to the bleed in one lump so the energy ledger still closes exactly.
@@ -196,7 +196,7 @@ std::optional<QuiescentSpan> QuiescentEngine::plan_off(
 
 std::optional<QuiescentSpan> QuiescentEngine::plan_low_power(
     Seconds t, std::uint64_t max_steps) const {
-  const Seconds dt = config_->dt;
+  const Seconds dt = config_.dt;
   const Volts v0 = node_->voltage();
   // Cheap rejection: while the driver conducts (charging ramps, active
   // supply arcs) the span cannot start — one virtual call per fine step.
@@ -250,7 +250,7 @@ std::optional<QuiescentSpan> QuiescentEngine::plan_charge(
     Seconds t, std::uint64_t max_steps) const {
   const circuit::ChargeSpanCert cert = driver_->plan_charge_span(t);
   if (!cert.valid) return std::nullopt;
-  const Seconds dt = config_->dt;
+  const Seconds dt = config_.dt;
   std::uint64_t n = steps_within(t, cert.until, dt, max_steps);
   if (n == 0) return std::nullopt;
   const Volts v0 = node_->voltage();
@@ -311,8 +311,8 @@ std::optional<QuiescentSpan> QuiescentEngine::plan_charge(
 
 std::optional<QuiescentSpan> QuiescentEngine::plan_ramp(
     Seconds t, std::uint64_t max_steps) const {
-  const Seconds dt = config_->dt;
-  const Volts tol = config_->macro_v_tol;
+  const Seconds dt = config_.dt;
+  const Volts tol = config_.macro_v_tol;
 
   // ICP-style contraction (the bound-and-shrink idiom): ask the driver for
   // a certified chord over a candidate horizon and shrink the horizon

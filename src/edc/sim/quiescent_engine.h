@@ -45,10 +45,9 @@
 #include "edc/circuit/supply_node.h"
 #include "edc/common/units.h"
 #include "edc/mcu/mcu.h"
+#include "edc/sim/simulator.h"
 
 namespace edc::sim {
-
-struct SimConfig;
 
 /// One planned quiescent span: `steps` whole dt steps the loop may jump in
 /// one go, with the end state and the exact energy booking. The simulator
@@ -79,7 +78,7 @@ struct QuiescentSpan {
 
 class QuiescentEngine {
  public:
-  /// All references must outlive the engine (they are the simulator's own).
+  /// Copies `config`; the other references must outlive the engine.
   QuiescentEngine(const SimConfig& config, const circuit::SupplyNode& node,
                   const circuit::SupplyDriver& driver, const mcu::Mcu& mcu);
 
@@ -148,7 +147,7 @@ class QuiescentEngine {
   [[nodiscard]] std::optional<QuiescentSpan> plan_ramp(
       Seconds t, std::uint64_t max_steps) const;
 
-  const SimConfig* config_;
+  SimConfig config_;
   const circuit::SupplyNode* node_;
   const circuit::SupplyDriver* driver_;
   const mcu::Mcu* mcu_;

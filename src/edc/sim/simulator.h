@@ -1,14 +1,11 @@
 // The coupled transient-system simulation loop.
 //
 // Wires source -> front-end driver -> supply node -> MCU (+ checkpoint
-// policy, + optional DFS governor) and advances them on a fixed step:
-//
-//   1. integrate the node ODE over dt (MCU draw at start-of-step state);
-//   2. deliver the voltage transition to the MCU (power-on, comparator
-//      events at interpolated instants, brown-out);
-//   3. let the MCU execute for dt (program ticks, saves/restores);
-//   4. run the governor at its control period;
-//   5. record probes / state transitions.
+// policy, + optional DFS governor) and advances them on a fixed step: each
+// step integrates the node ODE over dt (MCU draw at start-of-step state),
+// then runs the post-step sequence of sim/lane_core.h — supply events, MCU
+// execution, governor, transitions, probes. Simulator::run is the one-lane
+// case of that core; sim/batch_kernel.h is the many-lane case.
 //
 // The node energy ledger (harvested/consumed/stored) is exactly conserved
 // by construction, which the property tests rely on.
@@ -139,12 +136,10 @@ class Simulator {
   void set_governor(mcu::FrequencyGovernor* governor) { governor_ = governor; }
 
   /// Runs to t_end (or workload completion) and returns the result bundle.
+  /// Throws std::invalid_argument on an invalid lattice (see LaneCore).
   SimResult run();
 
  private:
-  template <bool kProbing, bool kGoverned>
-  void run_loop(SimResult& result);
-
   SimConfig config_;
   circuit::SupplyNode* node_;
   const circuit::SupplyDriver* driver_;

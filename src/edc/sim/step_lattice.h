@@ -1,10 +1,13 @@
-// Step-lattice arithmetic shared by the scalar simulator loop and the
-// batched SoA kernel.
+// Step-lattice arithmetic of the per-lane stepping core (sim/lane_core.h).
 //
-// The simulation loop keeps time on an exact lattice t == dt * step (see
-// sim/simulator.cpp): deadlines (t_end, the governor period) are honoured
-// by capping how many whole steps a quiescent span may jump, so a deadline
-// is always *processed* on a fine step whose start lies before it.
+// The simulation loop keeps time on an exact lattice t == dt * step instead
+// of accumulating t += dt: summation order then cannot drift the time base,
+// so a macro run that jumps spans of whole steps lands on exactly the same
+// instants — and the same probe/governor/termination schedule — as the fine
+// run it must stay in lock-step with. Deadlines (t_end, the governor
+// period) are honoured by capping how many whole steps a quiescent span
+// may jump, so a deadline is always *processed* on a fine step whose start
+// lies before it.
 #pragma once
 
 #include <cmath>

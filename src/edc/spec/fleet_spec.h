@@ -28,7 +28,7 @@
 //   rf.window_period = 3.0; rf.window_duty = 1.0/3; // slotted basestation
 //   rf.phases = {0.0, 1.0, 2.0};                    // staggered slots
 //   fleet.coupling = rf;
-//   sim::FleetSimulator(fleet).run();               // or sweep::run_fleet
+//   sweep::run_fleet(fleet, sweep::Runner{});      // sweep/fleet.h
 #pragma once
 
 #include <cstddef>

@@ -39,8 +39,10 @@ namespace edc::sweep {
 
 /// Simulates the fleet through `runner` (cache, batching, threads and
 /// fault injection all apply) and returns the per-node results as a
-/// sim::FleetResult. Row i is node i. Bit-identical to
-/// sim::FleetSimulator(fleet).run() — pinned in tests/fleet_test.cpp.
+/// sim::FleetResult. Row i is node i, bit-identical at any thread count,
+/// batched or not, to running the lowered node spec on its own
+/// (spec::instantiate(spec::fleet_node_spec(fleet, i)).run()) — pinned in
+/// tests/fleet_test.cpp.
 /// When `report` is non-null it receives the per-node RunReport, whose
 /// fresh/warm accounting is what the fleet smoke test gates on.
 [[nodiscard]] sim::FleetResult run_fleet(const spec::FleetSpec& fleet,

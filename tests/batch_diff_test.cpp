@@ -4,8 +4,9 @@
 // *bit-identity* with the scalar simulator: only the node ODE integration
 // is restructured (gather → shared-source SoA substeps → scatter, with the
 // exact scalar expression sequence per lane), while every discrete action
-// — supply events, MCU advance, policies, governor, probes, termination —
-// replays the scalar loop's order per lane. These tests hold that contract
+// — span booking, supply events, MCU advance, policies, governor, probes,
+// termination — runs through the same per-lane core (sim/lane_core.h) as
+// Simulator::run. These tests hold that contract
 // across every source family and checkpoint-policy family, with probes and
 // the DFS governor on, and through the divergence machinery: lanes that
 // macro-step analytic spans at different times, and lanes that finish at
@@ -18,10 +19,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "edc/checkpoint/interrupt_policy.h"
+#include "edc/circuit/supply_driver.h"
+#include "edc/core/system.h"
+#include "edc/sim/batch_kernel.h"
 #include "edc/sim/result_io.h"
 #include "edc/spec/system_spec.h"
 #include "edc/sweep/batch.h"
@@ -275,6 +280,93 @@ TEST(BatchDiff, StaggeredCompletionPeelsLanesOut) {
   Grid grid(std::move(base));
   grid.capacitance_axis({10e-6, 47e-6}).workload_seed_axis({1, 2, 3});
   expect_bit_identical(grid, 6);
+}
+
+// ------------------------------------- the kernel itself, one lane at a time
+
+/// The lane table entry for an instantiated system.
+sim::BatchLane lane_of(core::EnergyDrivenSystem& system) {
+  sim::BatchLane lane;
+  lane.config = system.sim_config();
+  lane.node = &system.node();
+  lane.driver = &system.driver();
+  lane.mcu = &system.mcu();
+  lane.governor = system.governor();
+  return lane;
+}
+
+TEST(BatchKernel, OneLaneMatchesSimulatorByteForByte) {
+  // run_batched sends singleton groups to the scalar path, so only a
+  // direct kernel call exercises a one-lane lockstep front.
+  spec::SystemSpec base;
+  base.source = spec::SquareSource{3.3, 10.0, 0.5, 0.0, 50.0};
+  base.storage.bleed = 20000.0;
+  base.workload.kind = "crc";
+  base.policy = spec::Hibernus{};
+  base.sim.t_end = 0.4;
+  base.sim.stop_on_completion = false;
+  for (const bool probed : {false, true}) {
+    for (const bool governed : {false, true}) {
+      for (const bool macro : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "probed=" << probed
+                                          << " governed=" << governed
+                                          << " macro=" << macro);
+        spec::SystemSpec s = base;
+        if (probed) s.sim.probe_interval = 1e-3;
+        if (governed) s.governor.emplace();
+        s.sim.macro_stepping = macro;
+        const sim::SimResult scalar = spec::instantiate(s).run();
+        core::EnergyDrivenSystem system = spec::instantiate(s);
+        const std::vector<sim::SimResult> batched =
+            sim::BatchKernel({lane_of(system)}).run();
+        ASSERT_EQ(batched.size(), 1u);
+        EXPECT_EQ(sim::serialize_result(batched[0]), sim::serialize_result(scalar));
+        EXPECT_GT(batched[0].fine_steps, 0u);
+        if (macro) EXPECT_GT(batched[0].spans, 0u) << "no span was booked";
+      }
+    }
+  }
+}
+
+/// A driver that works but does not support the SoA lane step.
+class ScalarOnlyDriver final : public circuit::SupplyDriver {
+ public:
+  [[nodiscard]] Amps current_into(Volts, Seconds) const override { return 0.0; }
+  [[nodiscard]] std::string name() const override { return "scalar-only"; }
+};
+
+TEST(BatchKernel, ConstructorRejectsBrokenLockstep) {
+  spec::SystemSpec s;
+  s.source = spec::DcSource{3.3, 50.0};
+  s.workload.kind = "crc";
+  s.sim.t_end = 0.1;
+  core::EnergyDrivenSystem a = spec::instantiate(s);
+  core::EnergyDrivenSystem b = spec::instantiate(s);
+  EXPECT_NO_THROW(sim::BatchKernel({lane_of(a), lane_of(b)}));
+  EXPECT_THROW(sim::BatchKernel(std::vector<sim::BatchLane>{}), std::invalid_argument);
+
+  sim::BatchLane other_dt = lane_of(b);
+  other_dt.config.dt *= 2.0;
+  EXPECT_THROW(sim::BatchKernel({lane_of(a), other_dt}), std::invalid_argument);
+
+  sim::BatchLane other_substeps = lane_of(b);
+  other_substeps.config.node_substeps += 1;
+  EXPECT_THROW(sim::BatchKernel({lane_of(a), other_substeps}), std::invalid_argument);
+
+  const ScalarOnlyDriver scalar_only;
+  sim::BatchLane unbatchable = lane_of(b);
+  unbatchable.driver = &scalar_only;
+  EXPECT_THROW(sim::BatchKernel({lane_of(a), unbatchable}), std::invalid_argument);
+
+  for (const Seconds t_end : {0.0, -1.0}) {
+    sim::BatchLane no_horizon = lane_of(b);
+    no_horizon.config.t_end = t_end;
+    EXPECT_THROW(sim::BatchKernel({lane_of(a), no_horizon}), std::invalid_argument);
+  }
+
+  sim::BatchLane missing_node = lane_of(b);
+  missing_node.node = nullptr;
+  EXPECT_THROW(sim::BatchKernel({lane_of(a), missing_node}), std::invalid_argument);
 }
 
 // ------------------------------------- fallbacks, determinism, provenance

@@ -19,7 +19,8 @@
 #include <variant>
 #include <vector>
 
-#include "edc/sim/fleet.h"
+#include "edc/core/system.h"
+#include "edc/sim/fleet_result.h"
 #include "edc/sim/result_io.h"
 #include "edc/spec/fleet_spec.h"
 #include "edc/spec/serialize.h"
@@ -233,10 +234,28 @@ TEST(FleetSerial, OpaqueNodesAreNonCacheableWithNodeIndex) {
   EXPECT_TRUE(is_cacheable(example_rf_fleet(2)));
 }
 
+/// The fleet through a serial sweep runner (sweep::run_fleet).
+sim::FleetResult run_serial(const FleetSpec& fleet) {
+  sweep::RunnerOptions options;
+  options.threads = 1;
+  return sweep::run_fleet(fleet, sweep::Runner(options));
+}
+
+/// The fleet node by node: each lowered spec instantiated and run through
+/// the scalar simulator directly, with no sweep machinery in between.
+sim::FleetResult run_node_by_node(const FleetSpec& fleet) {
+  validate_fleet(fleet);
+  sim::FleetResult result;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    result.nodes.push_back(instantiate(fleet_node_spec(fleet, i)).run());
+  }
+  return result;
+}
+
 // ------------------------------------------ fleet result serialization -----
 
 TEST(FleetResultIo, RoundTripIsByteIdentical) {
-  const sim::FleetResult result = sim::FleetSimulator(coupled_fleet(2)).run();
+  const sim::FleetResult result = run_serial(coupled_fleet(2));
   ASSERT_EQ(result.size(), 2u);
   const std::string text = sim::serialize_fleet_result(result);
   const sim::FleetResult reparsed = sim::parse_fleet_result(text);
@@ -275,15 +294,13 @@ void expect_scalar_identity(SystemSpec node) {
 
   FleetSpec fleet;
   fleet.nodes = {node};
-  const sim::FleetResult via_fleet = sim::FleetSimulator(fleet).run();
+  const sim::FleetResult via_fleet = run_node_by_node(fleet);
   ASSERT_EQ(via_fleet.size(), 1u);
   EXPECT_EQ(sim::serialize_result(via_fleet.nodes[0]),
             sim::serialize_result(scalar));
 
   // And through the sweep adapter (grid + runner path).
-  sweep::RunnerOptions options;
-  options.threads = 1;
-  const sim::FleetResult via_sweep = sweep::run_fleet(fleet, sweep::Runner(options));
+  const sim::FleetResult via_sweep = run_serial(fleet);
   ASSERT_EQ(via_sweep.size(), 1u);
   EXPECT_EQ(sim::serialize_result(via_sweep.nodes[0]),
             sim::serialize_result(scalar));
@@ -455,13 +472,17 @@ TEST(FleetScalarIdentity, AdaptiveBufferPolicy) {
 
 TEST(FleetRun, SimulatorAndSweepAdapterAgreeBitForBit) {
   const FleetSpec fleet = example_rf_fleet(3);
-  const sim::FleetResult direct = sim::FleetSimulator(fleet).run();
-  sweep::RunnerOptions options;
-  options.threads = 1;
-  const sim::FleetResult swept = sweep::run_fleet(fleet, sweep::Runner(options));
+  const sim::FleetResult direct = run_node_by_node(fleet);
+  const sim::FleetResult swept = run_serial(fleet);
   ASSERT_EQ(direct.size(), 3u);
   ASSERT_EQ(swept.size(), 3u);
   EXPECT_EQ(sim::serialize_fleet_result(swept),
+            sim::serialize_fleet_result(direct));
+  // Threads and the batched kernel change nothing either.
+  sweep::RunnerOptions options;
+  options.threads = 2;
+  options.batch = true;
+  EXPECT_EQ(sim::serialize_fleet_result(sweep::run_fleet(fleet, sweep::Runner(options))),
             sim::serialize_fleet_result(direct));
   // Distinct gains/windows really differentiate the nodes.
   EXPECT_NE(sim::serialize_result(direct.nodes[0]),
@@ -470,9 +491,9 @@ TEST(FleetRun, SimulatorAndSweepAdapterAgreeBitForBit) {
 }
 
 TEST(FleetRun, RepeatRunsAreDeterministic) {
-  const sim::FleetSimulator simulator(example_rf_fleet(2));
-  EXPECT_EQ(sim::serialize_fleet_result(simulator.run()),
-            sim::serialize_fleet_result(simulator.run()));
+  const FleetSpec fleet = example_rf_fleet(2);
+  EXPECT_EQ(sim::serialize_fleet_result(run_serial(fleet)),
+            sim::serialize_fleet_result(run_serial(fleet)));
 }
 
 TEST(FleetRun, ColdWarmCacheRoundTrip) {

@@ -1,5 +1,5 @@
-// Pins the step-lattice helper shared by the scalar simulator loop and the
-// batched kernel (sim/step_lattice.h): steps_starting_before must never
+// Pins the step-lattice helper of the per-lane stepping core
+// (sim/step_lattice.h, sim/lane_core.h): steps_starting_before must never
 // claim a step whose lattice start dt * (step + k) lands at or past the
 // limit, even when ceil((limit - t) / dt) rounds up across a representable
 // boundary. A historical over-claim: limit = 3 * 0.1 (which is
