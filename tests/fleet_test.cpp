@@ -478,7 +478,7 @@ TEST(FleetRun, SimulatorAndSweepAdapterAgreeBitForBit) {
   ASSERT_EQ(swept.size(), 3u);
   EXPECT_EQ(sim::serialize_fleet_result(swept),
             sim::serialize_fleet_result(direct));
-  // Threads and the batched kernel change nothing either.
+  // Threads and the batch option change nothing either.
   sweep::RunnerOptions options;
   options.threads = 2;
   options.batch = true;
