@@ -20,14 +20,16 @@
 //   eq5_crossover --shard 1/2 --csv b.csv      # the other half
 //   sweep_merge merged.csv a.csv b.csv         # == unsharded --csv output
 //
-// --shard runs only the owned points and writes the shard CSV (no table,
+// --shard k/N runs slice k of the index-striding partition (or, with
+// --shard-plan, of the LPT partition) and writes the shard CSV (no table,
 // no shape checks); --csv without --shard writes the unsharded CSV next to
 // the normal report; --cache memoises either mode; --t-end shortens the
 // horizon for smoke tests (shape checks are skipped — they are tuned for
 // the full 20 s horizon).
 //
 // --batch runs the grid through the batched SoA kernel (sweep/batch.h) —
-// bit-identical rows, amortized lane-cost timings tagged provenance 'b'.
+// bit-identical rows, amortized lane-cost timings tagged provenance 'b'
+// in the shard plan.
 //
 // --solve answers the crossover question with sweep::Search instead of the
 // dense sweep: bracketed bisection over a *refined* frequency lattice
@@ -50,9 +52,10 @@
 // striding with the LPT-balanced partition of
 // sweep::ShardAssignment::balanced. A plan mixing scalar and batch
 // provenance is rejected (amortized lane costs are not comparable with
-// per-point wall times) unless --mixed-plan-ok. Every shard
-// process computes the identical partition from the identical file, and
-// the v2 shard CSVs merge through sweep_merge exactly like striding ones:
+// per-point wall times) unless --mixed-plan-ok. The plan is the bench's one
+// per-point timing output. Every shard process computes the identical
+// partition from the identical file, and the shard CSVs merge through
+// sweep_merge exactly like striding ones:
 //
 //   eq5_crossover --csv base.csv --cache c --shard-plan timing.csv   # emit
 //   eq5_crossover --shard 0/2 --csv a.csv --cache c --shard-plan timing.csv
@@ -61,7 +64,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -72,9 +74,7 @@
 #include "edc/checkpoint/thresholds.h"
 #include "edc/core/system.h"
 #include "edc/sim/table.h"
-#include "edc/spec/fleet_spec.h"
 #include "edc/sweep/cache.h"
-#include "edc/sweep/fleet.h"
 #include "edc/sweep/grid.h"
 #include "edc/sweep/report.h"
 #include "edc/sweep/runner.h"
@@ -222,7 +222,6 @@ int main(int argc, char** argv) {
   std::optional<sweep::Shard> shard;
   std::optional<sweep::Cache> cache;
   const char* csv_path = nullptr;
-  const char* timing_csv_path = nullptr;
   const char* shard_plan_path = nullptr;
   double t_end = 20.0;
   bool t_end_overridden = false;
@@ -231,16 +230,12 @@ int main(int argc, char** argv) {
   bool mixed_plan_ok = false;
   bool solve = false;
   bool solve_check = false;
-  bool fleet_mode = false;
-  std::size_t fleet_nodes = 3;
   const char* search_csv_path = nullptr;
   const char* search_name = "Eq5Solve";
   bench::FlagParser flags;
   flags.on_value("--shard", "k/N",
                  [&](const char* v) { shard = sweep::Shard::parse(v); return true; })
       .on_value("--csv", "FILE", [&](const char* v) { csv_path = v; return true; })
-      .on_value("--timing-csv", "FILE",
-                [&](const char* v) { timing_csv_path = v; return true; })
       .on_value("--shard-plan", "FILE",
                 [&](const char* v) { shard_plan_path = v; return true; })
       .on_value("--cache", "DIR", [&](const char* v) { cache.emplace(v); return true; })
@@ -252,29 +247,11 @@ int main(int argc, char** argv) {
       // interrupt frequency share a source, so they step as one two-lane
       // group. Rows are bit-identical to the scalar path; per-point
       // timings become amortized lane costs (provenance 'b' in the
-      // timing CSV and shard plan).
+      // shard plan).
       .on("--batch", [&] { batch = true; })
       .on("--mixed-plan-ok", [&] { mixed_plan_ok = true; })
       .on("--solve", [&] { solve = true; })
       .on("--solve-check", [&] { solve = true; solve_check = true; })
-      // Fleet mode: ignore the crossover grid and run the canonical
-      // shared-RF example fleet (spec::example_rf_fleet) through the
-      // sweep runner instead — the end-to-end path scripts/fleet_smoke
-      // gates cold and warm.
-      .on("--fleet", [&] { fleet_mode = true; })
-      .on_value("--fleet-nodes", "N",
-                [&](const char* v) {
-                  char* end = nullptr;
-                  const unsigned long long n = std::strtoull(v, &end, 10);
-                  if (end == v || *end != '\0' || n < 1) {
-                    std::fprintf(stderr,
-                                 "--fleet-nodes needs a positive integer, got "
-                                 "'%s'\n", v);
-                    return false;
-                  }
-                  fleet_nodes = static_cast<std::size_t>(n);
-                  return true;
-                })
       .on_value("--search-csv", "FILE",
                 [&](const char* v) { search_csv_path = v; return true; })
       .on_value("--search-name", "NAME",
@@ -296,10 +273,6 @@ int main(int argc, char** argv) {
   }
   if (solve && shard.has_value()) {
     std::fprintf(stderr, "--solve and --shard are mutually exclusive\n");
-    return 2;
-  }
-  if (fleet_mode && (solve || shard.has_value())) {
-    std::fprintf(stderr, "--fleet is mutually exclusive with --solve/--shard\n");
     return 2;
   }
 
@@ -356,59 +329,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(stats.stores),
                  static_cast<unsigned long long>(stats.non_cacheable));
   };
-
-  if (fleet_mode) {
-    // Fleet mode: the canonical N-node shared-RF scenario — one jittered
-    // reader field, inverse-square-law per-node gains, staggered
-    // basestation harvest windows, adaptive-buffer commits. Lowered fleet
-    // nodes are ordinary cacheable sweep points, so --cache gives the
-    // usual cold/warm accounting (fresh == N cold, 0 warm).
-    std::printf("=== Shared-RF fleet (%zu nodes) under the sweep runner ===\n\n",
-                fleet_nodes);
-    const spec::FleetSpec fleet = spec::example_rf_fleet(fleet_nodes);
-    const auto& rf = std::get<spec::SharedRfCoupling>(fleet.coupling);
-
-    sweep::RunReport fleet_report;
-    const sim::FleetResult result = sweep::run_fleet(fleet, runner, &fleet_report);
-
-    sim::Table table({"node", "gain", "phase (s)", "completed",
-                      "harvested (uJ)", "consumed (uJ)", "commits", "torn"});
-    for (std::size_t i = 0; i < result.size(); ++i) {
-      const sim::SimResult& node = result.nodes[i];
-      table.add_row({"node" + std::to_string(i), sim::Table::num(rf.gains[i], 3),
-                     sim::Table::num(rf.phases.empty() ? 0.0 : rf.phases[i], 2),
-                     node.mcu.completed ? "yes" : "no",
-                     sim::Table::num(node.harvested * 1e6, 1),
-                     sim::Table::num(node.consumed * 1e6, 1),
-                     std::to_string(node.nvm_commits),
-                     std::to_string(node.nvm_torn_writes)});
-    }
-    table.print(std::cout);
-
-    std::printf("\nfleet: %zu/%zu nodes completed, %llu commits, %llu torn "
-                "writes fleet-wide\n",
-                result.completed_nodes(), result.size(),
-                static_cast<unsigned long long>(result.total_nvm_commits()),
-                static_cast<unsigned long long>(result.total_nvm_torn_writes()));
-    std::printf("fleet: simulated %zu of %zu nodes, %zu replayed warm\n",
-                fleet_report.fresh_count(), result.size(),
-                fleet_report.warm_count());
-    report_cache();
-
-    if (csv_path != nullptr) {
-      std::ofstream out(csv_path, std::ios::binary | std::ios::trunc);
-      if (!out) {
-        std::fprintf(stderr, "cannot open '%s' for writing\n", csv_path);
-        return 1;
-      }
-      sweep::write_csv(out, sweep::fleet_grid(fleet), result.nodes);
-      if (!out.good()) {
-        std::fprintf(stderr, "write to '%s' failed\n", csv_path);
-        return 1;
-      }
-    }
-    return 0;
-  }
 
   if (solve) {
     // Solver-guided mode: answer the crossover question with bracketed
@@ -510,69 +430,34 @@ int main(int argc, char** argv) {
     // of the plan's measured per-point costs instead of index striding —
     // every shard process derives the identical partition from the
     // identical file, so the slices still cover the grid exactly once.
-    sweep::RunReport shard_report;
-    std::vector<sim::SimResult> rows;
-    std::optional<sweep::ShardAssignment> assignment;
-    std::size_t owned_count = 0;
+    sweep::ShardAssignment assignment =
+        sweep::ShardAssignment::striding(grid.size(), shard->count);
     if (shard_plan_path != nullptr) {
       std::vector<double> plan;
       if (!read_shard_plan(shard_plan_path, grid.size(), plan, mixed_plan_ok)) {
         return 1;
       }
+      const double striding_makespan = assignment.makespan(plan);
       assignment = sweep::ShardAssignment::balanced(plan, shard->count);
-      rows = runner.run_assignment(grid, *assignment, shard->index, &shard_report);
-      owned_count = assignment->owned[shard->index].size();
       std::fprintf(stderr,
                    "shard plan '%s': LPT makespan %.0f us vs striding %.0f us\n",
-                   shard_plan_path, assignment->makespan(plan),
-                   sweep::ShardAssignment::striding(grid.size(), shard->count)
-                       .makespan(plan));
-    } else {
-      rows = runner.run_shard(grid, *shard, &shard_report);
-      owned_count = shard->owned_count(grid.size());
+                   shard_plan_path, assignment.makespan(plan), striding_makespan);
     }
+    const auto rows = runner.run_assignment(grid, assignment, shard->index);
     std::ofstream out(csv_path, std::ios::binary | std::ios::trunc);
     if (!out) {
       std::fprintf(stderr, "cannot open '%s' for writing\n", csv_path);
       return 1;
     }
-    if (assignment.has_value()) {
-      sweep::write_assignment_shard_csv(out, grid, *assignment, shard->index, rows);
-    } else {
-      sweep::write_shard_csv(out, grid, *shard, rows);
-    }
+    sweep::write_shard_csv(out, grid, assignment, shard->index, rows);
     if (!out.good()) {
       std::fprintf(stderr, "write to '%s' failed\n", csv_path);
       return 1;
     }
-    if (timing_csv_path != nullptr) {
-      // Per-shard timing: global point index + wall time + execution-path
-      // provenance, the per-point costs a cost-weighted re-shard of this
-      // grid would consume. (The mergeable shard CSV format itself stays
-      // timing-free so merged output is byte-comparable with a serial
-      // run.)
-      std::ofstream timing(timing_csv_path, std::ios::binary | std::ios::trunc);
-      if (!timing) {
-        std::fprintf(stderr, "cannot open '%s' for writing\n", timing_csv_path);
-        return 1;
-      }
-      timing << "index,micros,provenance\n";
-      const std::vector<std::size_t> owned =
-          assignment.has_value() ? assignment->owned[shard->index]
-                                 : shard->owned_points(grid.size());
-      for (std::size_t pos = 0; pos < owned.size(); ++pos) {
-        timing << owned[pos] << ',' << shard_report.micros[pos] << ','
-               << shard_report.provenance[pos] << '\n';
-      }
-      if (!timing.good()) {
-        std::fprintf(stderr, "write to '%s' failed\n", timing_csv_path);
-        return 1;
-      }
-    }
     report_cache();
     std::printf("shard %s%s: simulated %zu of %zu points -> %s\n",
                 shard->to_string().c_str(),
-                assignment.has_value() ? " (LPT plan)" : "", owned_count,
+                shard_plan_path != nullptr ? " (LPT plan)" : "", rows.size(),
                 grid.size(), csv_path);
     return 0;
   }
@@ -614,23 +499,6 @@ int main(int argc, char** argv) {
     sweep::write_csv(out, grid, results);
     if (!out.good()) {
       std::fprintf(stderr, "write to '%s' failed\n", csv_path);
-      return 1;
-    }
-  }
-
-  if (timing_csv_path != nullptr) {
-    // The same rows with the per-point wall-time and provenance columns
-    // appended — the measured input a cost-weighted shard assignment
-    // would consume, tagged with the execution path that measured it.
-    std::ofstream out(timing_csv_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "cannot open '%s' for writing\n", timing_csv_path);
-      return 1;
-    }
-    sweep::write_csv(out, grid, results, &run_report.micros,
-                     &run_report.provenance);
-    if (!out.good()) {
-      std::fprintf(stderr, "write to '%s' failed\n", timing_csv_path);
       return 1;
     }
   }

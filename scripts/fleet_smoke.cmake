@@ -1,59 +1,23 @@
-# Fleet scenarios end to end (ctest `fleet_smoke`): drive the canonical
-# 3-node shared-RF example fleet (spec::example_rf_fleet) through the real
-# CLIs, cold and warm against one cache, and assert the fleet acceptance
-# contract:
-#
-#   * cold eq5_crossover --fleet simulates all 3 nodes and completes the
-#     whole fleet;
-#   * the warm rerun simulates ZERO nodes (all 3 replay from the cache)
-#     and its CSV is byte-identical to the cold run's;
-#   * design_query --fleet-demo brackets the smallest capacitance at which
-#     every coupled node completes, cold, and its warm rerun replays every
-#     probe from the cache.
+# Fleet scenarios end to end (ctest `fleet_smoke`): drive a shared-RF
+# fleet search through the real design_query CLI, cold and warm against
+# one cache: design_query --fleet-demo brackets the smallest capacitance
+# at which every coupled node completes, cold, and its warm rerun replays
+# every probe from the cache. The 3-node example fleet's own cache round
+# trip (3 fresh / 0 warm, then 0 fresh / 3 warm, byte-identical results,
+# whole fleet completes) is pinned in-process by
+# FleetRun.ColdWarmCacheRoundTrip (tests/fleet_test.cpp).
 #
 # Invoked as:
-#   cmake -DEQ5=<eq5_crossover> -DDQ=<design_query> -DWORK=<scratch dir>
-#         -P fleet_smoke.cmake
+#   cmake -DDQ=<design_query> -DWORK=<scratch dir> -P fleet_smoke.cmake
 
-if(NOT EQ5 OR NOT DQ OR NOT WORK)
-  message(FATAL_ERROR "usage: cmake -DEQ5=... -DDQ=... -DWORK=... -P fleet_smoke.cmake")
+if(NOT DQ OR NOT WORK)
+  message(FATAL_ERROR "usage: cmake -DDQ=... -DWORK=... -P fleet_smoke.cmake")
 endif()
 
 file(REMOVE_RECURSE ${WORK})
 file(MAKE_DIRECTORY ${WORK})
 
-# 1. Cold fleet sweep: every node simulated fresh, whole fleet completes.
-execute_process(
-  COMMAND ${EQ5} --fleet --cache ${WORK}/cache --csv ${WORK}/cold.csv
-  RESULT_VARIABLE cold_result OUTPUT_VARIABLE cold_out ERROR_VARIABLE cold_err)
-if(NOT cold_result EQUAL 0)
-  message(FATAL_ERROR "cold --fleet failed (${cold_result}):\n${cold_out}\n${cold_err}")
-endif()
-if(NOT cold_out MATCHES "fleet: simulated 3 of 3 nodes, 0 replayed warm")
-  message(FATAL_ERROR "cold --fleet did not simulate all 3 nodes:\n${cold_out}")
-endif()
-if(NOT cold_out MATCHES "fleet: 3/3 nodes completed")
-  message(FATAL_ERROR "cold --fleet did not complete the whole fleet:\n${cold_out}")
-endif()
-
-# 2. Warm rerun: zero simulations, every node replayed from the cache,
-# byte-identical CSV.
-execute_process(
-  COMMAND ${EQ5} --fleet --cache ${WORK}/cache --csv ${WORK}/warm.csv
-  RESULT_VARIABLE warm_result OUTPUT_VARIABLE warm_out ERROR_VARIABLE warm_err)
-if(NOT warm_result EQUAL 0)
-  message(FATAL_ERROR "warm --fleet failed (${warm_result}):\n${warm_out}\n${warm_err}")
-endif()
-if(NOT warm_out MATCHES "fleet: simulated 0 of 3 nodes, 3 replayed warm")
-  message(FATAL_ERROR "warm --fleet rerun simulated nodes it should have replayed:\n${warm_out}")
-endif()
-file(READ ${WORK}/cold.csv cold_csv)
-file(READ ${WORK}/warm.csv warm_csv)
-if(NOT cold_csv STREQUAL warm_csv)
-  message(FATAL_ERROR "warm fleet CSV differs from the cold run's:\n--- cold\n${cold_csv}\n--- warm\n${warm_csv}")
-endif()
-
-# 3. design_query --fleet-demo: smallest capacitance at which every coupled
+# design_query --fleet-demo: smallest capacitance at which every coupled
 # node completes, cold then warm against one cache.
 execute_process(
   COMMAND ${DQ} --fleet-demo --cache ${WORK}/dq_cache
@@ -78,4 +42,4 @@ if(NOT dq_warm_out MATCHES "simulated 0 of")
   message(FATAL_ERROR "warm design_query --fleet-demo simulated probes it should have replayed:\n${dq_warm_out}")
 endif()
 
-message(STATUS "fleet smoke: 3-node shared-RF sweep round-trips the cache; warm reruns simulate zero nodes")
+message(STATUS "fleet smoke: shared-RF fleet search round-trips the cache; the warm rerun simulates zero probes")

@@ -1,7 +1,7 @@
 # End-to-end cost-weighted sharding smoke test (registered in ctest as
 # shard_plan_smoke): an unsharded eq5_crossover run emits the per-point
 # timing plan, two LPT-balanced shard processes consume it, sweep_merge
-# reassembles the v2 shard CSVs, and the result must be byte-identical to
+# reassembles their shard CSVs, and the result must be byte-identical to
 # the unsharded run's CSV — the cost-weighted loop of ROADMAP "surface
 # cost-weighted sharding in the CLIs", driven through the real binaries.
 #

@@ -39,7 +39,7 @@
 namespace edc::sim {
 
 /// One lane of a batch: the wired parts of a single system, non-owning (the
-/// caller keeps the systems alive — sweep::run_batched holds the
+/// caller keeps the systems alive — sweep::run_lockstep_unit holds the
 /// instantiated core::EnergyDrivenSystem per lane). All lanes of one kernel
 /// must share dt, node_substeps, and a structurally identical batchable
 /// driver (the grouping contract enforced by sweep::batch_group_key);

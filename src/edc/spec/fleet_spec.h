@@ -92,10 +92,10 @@ void validate_fleet(const FleetSpec& fleet);
 [[nodiscard]] SystemSpec fleet_node_spec(const FleetSpec& fleet, std::size_t i);
 
 /// The canonical shared-RF example fleet used by the tools' fleet entry
-/// points (eq5_crossover --fleet, design_query --fleet-demo), the fleet
-/// smoke script and the README: `node_count` identical sense nodes under
-/// adaptive buffering, harvesting one jittered reader field through
-/// 1/d^2 gains and staggered basestation slots.
+/// point (design_query --fleet-demo), the fleet tests and the README:
+/// `node_count` identical sense nodes under adaptive buffering, harvesting
+/// one jittered reader field through 1/d^2 gains and staggered
+/// basestation slots.
 [[nodiscard]] FleetSpec example_rf_fleet(std::size_t node_count = 3);
 
 }  // namespace edc::spec

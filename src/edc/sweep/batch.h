@@ -10,22 +10,22 @@
 // within a group. Points whose source cannot be shared (custom factories,
 // unset sources) get no key and take the scalar path unchanged.
 //
-// run_batched() is the Runner's batch execution strategy
-// (RunnerOptions::batch): resolve cache hits, group the rest, chunk groups
-// into <= batch_lanes lanes, and execute chunks through sim::BatchKernel —
-// with singleton groups and ungroupable points falling back to the
-// caller-supplied scalar simulation. Per-point results are bit-identical
-// to the scalar runner (tests/batch_diff_test.cpp); what changes is the
-// wall time and the *provenance* of the recorded cost: a batched point's
-// micros is the chunk's wall time amortized over its lanes, which is the
-// right weight for LPT sharding of a future batched run but must never be
-// silently mixed into a scalar shard plan — hence the provenance codes
-// below, carried through the cache (sweep/cache.h), the CSV reports
-// (sweep/report.h) and the shard-plan tooling (bench/eq5_crossover.cpp).
+// This is the Runner's batch execution strategy (RunnerOptions::batch):
+// plan_batch_units() resolves cache hits, groups the rest, and chunks
+// groups into <= batch_lanes lanes; the Runner's one worker pool then runs
+// each chunk through run_lockstep_unit() (sim::BatchKernel), with
+// singleton groups and ungroupable points left to the Runner's scalar
+// path. Per-point results are bit-identical to the scalar runner
+// (tests/batch_diff_test.cpp); what changes is the wall time and the
+// *provenance* of the recorded cost: a batched point's micros is the
+// chunk's wall time amortized over its lanes, which is the right weight
+// for LPT sharding of a future batched run but must never be silently
+// mixed into a scalar shard plan — hence the provenance codes below,
+// carried through the cache (sweep/cache.h), the run report
+// (sweep/runner.h) and the shard-plan tooling (bench/eq5_crossover.cpp).
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -52,19 +52,20 @@ inline constexpr char kProvenanceBatch = 'b';   ///< SoA kernel, amortized lane 
 [[nodiscard]] std::optional<std::string> batch_group_key(
     const spec::SystemSpec& spec);
 
-/// One point of a batched execution: the grid point to simulate and the
-/// output slot its row/micros/provenance land in (callers pass their own
-/// slot mapping: identity for run(), strided for run_shard(), ...).
-struct BatchPointRef {
-  std::size_t global_index = 0;
-  std::size_t slot = 0;
+/// One schedulable unit of a batched run, named by slots: positions in
+/// the run's point list, which are also the rows and report columns the
+/// unit writes. A lockstep unit steps its lanes through sim::BatchKernel;
+/// any other unit is one point for the scalar path.
+struct BatchUnit {
+  std::vector<std::size_t> slots;
+  bool lockstep = false;
 };
 
 /// Splits a lane group's measured wall time into per-lane amortized costs
 /// whose *sum reproduces the measurement* at microsecond resolution: each
 /// lane gets floor(total/n) whole microseconds and the first total%n lanes
 /// carry one extra. Plain wall/n leaks up to (lanes-1) us of rounding per
-/// group once the costs are serialized, so `--timing-csv` column totals
+/// group once the costs are serialized, so the shard plan's cost totals
 /// drift away from the wall time a shard planner has to budget against;
 /// remainder distribution keeps the totals exact while every lane still
 /// differs by at most 1 us from the even split. Returns an empty vector
@@ -72,22 +73,29 @@ struct BatchPointRef {
 [[nodiscard]] std::vector<double> amortize_lane_micros(double wall_micros,
                                                        std::size_t lanes);
 
-/// Scalar fallback used for cache-cold points that cannot batch: simulate
-/// `point`, report its wall-time cost, provenance and origin
-/// (kOriginFresh/kOriginWarm, see sweep/runner.h).
-using ScalarPointFn = std::function<sim::SimResult(
-    const Point& point, double& micros, char& provenance, char& origin)>;
+/// Writes one row's telemetry into report column slot `slot` (a no-op when
+/// `report` is null); shared by the Runner's scalar path and the batch
+/// units below.
+void record_row(RunReport* report, std::size_t slot, double micros,
+                char provenance, char origin);
 
-/// Executes `points` of `grid` under the batching strategy described above
-/// and writes each result into rows[ref.slot] (plus the matching
-/// report columns when `report` is non-null; rows and report must already
-/// be sized by the caller). Work units (batch chunks and scalar points)
-/// run across options.threads workers; rows are bit-identical regardless
-/// of thread count. options.cache, when set, resolves warm points up front
-/// (replaying their stored provenance, marked kOriginWarm) and stores
-/// freshly batched points with kProvenanceBatch.
-void run_batched(const Grid& grid, const std::vector<BatchPointRef>& points,
-                 const RunnerOptions& options, const ScalarPointFn& scalar_point,
-                 std::vector<sim::SimResult>& rows, RunReport* report);
+/// Plans a batched run of the grid points `points` (global indices; row i
+/// is points[i]). Warm cache points are resolved up front straight into
+/// rows[i] and the report (replaying their stored provenance, marked
+/// kOriginWarm); the rest are grouped by batch_group_key and chunked into
+/// lockstep units of <= options.batch_lanes lanes, while singleton groups
+/// and ungroupable points become scalar units. Rows and report must
+/// already be sized to `points`. The unit order is deterministic.
+[[nodiscard]] std::vector<BatchUnit> plan_batch_units(
+    const Grid& grid, const std::vector<std::size_t>& points,
+    const RunnerOptions& options, std::vector<sim::SimResult>& rows,
+    RunReport* report);
+
+/// Runs one lockstep unit of plan_batch_units(grid, points, ...): writes
+/// each lane's row, its amortized lane cost and kProvenanceBatch into its
+/// slot, and stores the fresh rows in `cache` when it is non-null.
+void run_lockstep_unit(const Grid& grid, const std::vector<std::size_t>& points,
+                       const BatchUnit& unit, Cache* cache,
+                       std::vector<sim::SimResult>& rows, RunReport* report);
 
 }  // namespace edc::sweep

@@ -16,8 +16,7 @@ const char* const kMetricColumns[] = {"done",     "t_done (s)", "brownouts",
                                       "saves",    "restores",   "energy (mJ)",
                                       "harvested (mJ)"};
 
-constexpr char kShardMagic[] = "# edc-sweep-shard v1 shard ";
-constexpr char kAssignmentMagic[] = "# edc-sweep-shard v2 shard ";
+constexpr char kShardMagic[] = "# edc-sweep-shard v2 shard ";
 
 std::string csv_escape(const std::string& cell) {
   if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
@@ -30,12 +29,9 @@ std::string csv_escape(const std::string& cell) {
   return quoted;
 }
 
-void write_csv_header(std::ostream& out, const Grid& grid, bool with_micros = false,
-                      bool with_provenance = false) {
+void write_csv_header(std::ostream& out, const Grid& grid) {
   for (const auto& axis : grid.axes()) out << csv_escape(axis.name) << ',';
   out << "done,t_done_s,brownouts,saves,restores,energy_j,harvested_j";
-  if (with_micros) out << ",micros";
-  if (with_provenance) out << ",provenance";
 }
 
 void write_csv_row(std::ostream& out, const Point& point,
@@ -83,34 +79,22 @@ sim::Table summary_table(const Grid& grid,
 }
 
 void write_csv(std::ostream& out, const Grid& grid,
-               const std::vector<sim::SimResult>& results,
-               const std::vector<double>* micros,
-               const std::vector<char>* provenance) {
+               const std::vector<sim::SimResult>& results) {
   EDC_CHECK(results.size() == grid.size(),
             "result rows do not match the grid size");
-  EDC_CHECK(micros == nullptr || micros->size() == results.size(),
-            "micros rows do not match the result rows");
-  EDC_CHECK(provenance == nullptr || provenance->size() == results.size(),
-            "provenance rows do not match the result rows");
-  EDC_CHECK(provenance == nullptr || micros != nullptr,
-            "a provenance column annotates the micros column; pass micros too");
-  write_csv_header(out, grid, micros != nullptr, provenance != nullptr);
+  write_csv_header(out, grid);
   out << '\n';
   for (std::size_t i = 0; i < results.size(); ++i) {
     write_csv_row(out, grid.point(i), results[i]);
-    if (micros != nullptr) out << ',' << (*micros)[i];
-    if (provenance != nullptr) out << ',' << (*provenance)[i];
     out << '\n';
   }
 }
 
-namespace {
-
-/// Shared body of the two shard writers: magic line, header, indexed rows.
-void write_shard_rows(std::ostream& out, const Grid& grid,
-                      const std::vector<std::size_t>& owned,
-                      const std::vector<sim::SimResult>& results,
-                      const char* magic, const std::string& shard_label) {
+void write_shard_csv(std::ostream& out, const Grid& grid,
+                     const ShardAssignment& assignment, std::size_t shard_index,
+                     const std::vector<sim::SimResult>& results) {
+  EDC_CHECK(shard_index < assignment.count(), "shard index out of range");
+  const std::vector<std::size_t>& owned = assignment.owned[shard_index];
   EDC_CHECK(results.size() == owned.size(),
             "result rows do not match the shard's owned point count");
   // The shard format is parsed line-by-line on merge, so a newline inside
@@ -126,7 +110,8 @@ void write_shard_rows(std::ostream& out, const Grid& grid,
                     value.label + "'");
     }
   }
-  out << magic << shard_label << " grid " << grid.size() << '\n';
+  out << kShardMagic << Shard{shard_index, assignment.count()}.to_string()
+      << " grid " << grid.size() << '\n';
   out << "# header ";
   write_csv_header(out, grid);
   out << '\n';
@@ -136,25 +121,6 @@ void write_shard_rows(std::ostream& out, const Grid& grid,
     write_csv_row(out, grid.point(owned[pos]), results[pos]);
     out << '\n';
   }
-}
-
-}  // namespace
-
-void write_shard_csv(std::ostream& out, const Grid& grid, const Shard& shard,
-                     const std::vector<sim::SimResult>& results) {
-  write_shard_rows(out, grid, shard.owned_points(grid.size()), results,
-                   kShardMagic, shard.to_string());
-}
-
-void write_assignment_shard_csv(std::ostream& out, const Grid& grid,
-                                const ShardAssignment& assignment,
-                                std::size_t shard_index,
-                                const std::vector<sim::SimResult>& results) {
-  EDC_CHECK(shard_index < assignment.count(), "shard index out of range");
-  const std::string label = std::to_string(shard_index) + "/" +
-                            std::to_string(assignment.count());
-  write_shard_rows(out, grid, assignment.owned[shard_index], results,
-                   kAssignmentMagic, label);
 }
 
 void merge_shard_csvs(const std::vector<std::string>& shard_csvs, std::ostream& out) {
@@ -174,13 +140,10 @@ void merge_shard_csvs(const std::vector<std::string>& shard_csvs, std::ostream& 
     std::istringstream in(text);
     std::string line;
 
-    const bool striding = std::getline(in, line) && line.rfind(kShardMagic, 0) == 0;
-    const bool assignment = !striding && line.rfind(kAssignmentMagic, 0) == 0;
-    if (!striding && !assignment) {
+    if (!std::getline(in, line) || line.rfind(kShardMagic, 0) != 0) {
       throw std::invalid_argument("merge_shard_csvs: missing shard header line");
     }
-    // "<k>/<N> grid <size>" after the magic prefix (both magics are the
-    // same length).
+    // "<k>/<N> grid <size>" after the magic prefix.
     const std::string meta = line.substr(std::string(kShardMagic).size());
     const std::size_t space = meta.find(' ');
     if (space == std::string::npos || meta.substr(space + 1, 5) != "grid ") {
@@ -240,13 +203,8 @@ void merge_shard_csvs(const std::vector<std::string>& shard_csvs, std::ostream& 
         throw std::invalid_argument("merge_shard_csvs: row index out of range: " +
                                     line);
       }
-      // Striding shards carry an index-ownership rule worth checking;
-      // assignment (v2) shards own exactly the rows they name, and the
-      // coverage/duplicate checks below still reject any bad partition.
-      if (striding && !shard.owns(index)) {
-        throw std::invalid_argument("merge_shard_csvs: shard " + shard.to_string() +
-                                    " does not own point " + std::to_string(index));
-      }
+      // A shard owns exactly the rows it names; the duplicate check here
+      // and the coverage check below reject any bad partition.
       if (seen[index]) {
         throw std::invalid_argument("merge_shard_csvs: duplicate point " +
                                     std::to_string(index));

@@ -29,51 +29,29 @@ namespace edc::sweep {
                                        const std::vector<sim::SimResult>& results);
 
 /// CSV export of the same rows (numeric metrics unformatted; labels quoted
-/// when they contain separators). When `micros` is non-null (one wall-time
-/// entry per row, as filled in by Runner::run) a trailing `micros` column
-/// records each point's simulation cost — the input to cost-weighted shard
-/// scheduling. When `provenance` is additionally non-null (one 's'/'b'
-/// code per row, see sweep/batch.h) a trailing `provenance` column records
-/// which execution path produced each cost, so timing consumers can refuse
-/// to mix per-point scalar wall times with amortized batch lane costs.
-/// The shard CSV format deliberately omits both so merged shard output
-/// stays byte-comparable with a serial run.
+/// when they contain separators).
 void write_csv(std::ostream& out, const Grid& grid,
-               const std::vector<sim::SimResult>& results,
-               const std::vector<double>* micros = nullptr,
-               const std::vector<char>* provenance = nullptr);
+               const std::vector<sim::SimResult>& results);
 
-/// Per-shard CSV export: `results` holds the rows of the shard's owned
-/// points in ascending global-index order (as returned by
-/// Runner::run_shard). The file carries the shard metadata, the unsharded
-/// header, and each row prefixed with its global index, so shards can be
-/// merged back into exact grid order:
+/// Per-shard CSV export for slice `shard_index` of `assignment`: `results`
+/// holds the slice's rows in its own order (as returned by
+/// Runner::run_assignment). The file carries the shard metadata, the
+/// unsharded header, and each row prefixed with its global index, so the
+/// rows carry their own ownership and shards merge back into exact grid
+/// order:
 ///
-///   # edc-sweep-shard v1 shard <k>/<N> grid <size>
+///   # edc-sweep-shard v2 shard <k>/<N> grid <size>
 ///   # header <unsharded CSV header line>
 ///   <global index>,<unsharded CSV row>
-void write_shard_csv(std::ostream& out, const Grid& grid, const Shard& shard,
+void write_shard_csv(std::ostream& out, const Grid& grid,
+                     const ShardAssignment& assignment, std::size_t shard_index,
                      const std::vector<sim::SimResult>& results);
-
-/// Per-shard CSV export for slice `shard_index` of an explicit
-/// ShardAssignment (the cost-weighted LPT partitions of
-/// ShardAssignment::balanced): identical layout to write_shard_csv but
-/// tagged `v2`, whose ownership is carried entirely by the per-row global
-/// indices instead of the striding rule — merge_shard_csvs accepts both
-/// and still validates coverage and duplicates strictly. `results` holds
-/// the slice's rows in its ascending global-index order (as returned by
-/// Runner::run_assignment).
-void write_assignment_shard_csv(std::ostream& out, const Grid& grid,
-                                const ShardAssignment& assignment,
-                                std::size_t shard_index,
-                                const std::vector<sim::SimResult>& results);
 
 /// Reassembles the shard CSV texts of a complete k/N partition into the
 /// byte stream write_csv would have produced for the unsharded grid.
-/// Throws std::invalid_argument when the shards disagree on grid size,
-/// shard count or header, duplicate a point, or leave a point uncovered.
-/// Striding (v1) shards additionally have their index-ownership rule
-/// checked; assignment (v2) shards own whatever their rows name.
+/// Throws std::invalid_argument when a file is not a write_shard_csv file,
+/// or the shards disagree on grid size, shard count or header, repeat a
+/// shard id, duplicate a point, or leave a point uncovered.
 void merge_shard_csvs(const std::vector<std::string>& shard_csvs, std::ostream& out);
 
 }  // namespace edc::sweep

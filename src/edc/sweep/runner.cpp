@@ -5,6 +5,7 @@
 #include <chrono>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <thread>
 
 #include "edc/spec/serialize.h"
@@ -68,106 +69,51 @@ sim::SimResult Runner::simulate_point(const Point& point, double& micros,
   return result;
 }
 
-namespace {
-
-/// Sizes all report columns to `rows` with the fresh-scalar defaults every
-/// execution path then overwrites per slot.
-void reset_report(RunReport* report, std::size_t rows) {
-  if (report == nullptr) return;
-  report->micros.assign(rows, 0.0);
-  report->provenance.assign(rows, kProvenanceScalar);
-  report->origin.assign(rows, kOriginFresh);
-}
-
-/// Writes one row's telemetry into its report slot.
-void record_row(RunReport* report, std::size_t slot, double micros,
-                char provenance, char origin) {
-  if (report == nullptr) return;
-  report->micros[slot] = micros;
-  report->provenance[slot] = provenance;
-  report->origin[slot] = origin;
-}
-
-}  // namespace
-
 std::vector<sim::SimResult> Runner::run(const Grid& grid, RunReport* report) const {
-  std::vector<sim::SimResult> rows(grid.size());
-  reset_report(report, rows.size());
-  if (options_.batch) {
-    std::vector<BatchPointRef> refs(grid.size());
-    for (std::size_t i = 0; i < grid.size(); ++i) refs[i] = BatchPointRef{i, i};
-    run_batched(grid, refs, options_, scalar_point_fn(), rows, report);
-    return rows;
-  }
-  for_each_point(grid, [this, &rows, report](const Point& point) {
-    double cost = 0.0;
-    char source = kProvenanceScalar;
-    char from = kOriginFresh;
-    rows[point.index] = simulate_point(point, cost, source, from);
-    record_row(report, point.index, cost, source, from);
-  });
-  return rows;
-}
-
-std::vector<sim::SimResult> Runner::run_shard(const Grid& grid, const Shard& shard,
-                                              RunReport* report) const {
-  std::vector<sim::SimResult> rows(shard.owned_count(grid.size()));
-  reset_report(report, rows.size());
-  if (options_.batch) {
-    // Owned points are strided index % count == index0, so the row slot of
-    // global point i is simply i / count.
-    std::vector<BatchPointRef> refs;
-    refs.reserve(rows.size());
-    for (std::size_t slot = 0; slot < rows.size(); ++slot) {
-      refs.push_back(BatchPointRef{shard.index + slot * shard.count, slot});
-    }
-    run_batched(grid, refs, options_, scalar_point_fn(), rows, report);
-    return rows;
-  }
-  for_each_point(grid, shard, [this, &shard, &rows, report](const Point& point) {
-    const std::size_t slot = point.index / shard.count;
-    double cost = 0.0;
-    char source = kProvenanceScalar;
-    char from = kOriginFresh;
-    rows[slot] = simulate_point(point, cost, source, from);
-    record_row(report, slot, cost, source, from);
-  });
-  return rows;
+  std::vector<std::size_t> points(grid.size());
+  std::iota(points.begin(), points.end(), std::size_t{0});
+  return run_points(grid, points, report);
 }
 
 std::vector<sim::SimResult> Runner::run_assignment(const Grid& grid,
                                                    const ShardAssignment& assignment,
                                                    std::size_t shard_index,
                                                    RunReport* report) const {
-  const std::vector<std::size_t>& owned = assignment.owned.at(shard_index);
-  // Row slot of global point i: its position in the (ascending) owned list.
-  std::vector<sim::SimResult> rows(owned.size());
-  reset_report(report, rows.size());
-  if (options_.batch) {
-    std::vector<BatchPointRef> refs;
-    refs.reserve(owned.size());
-    for (std::size_t slot = 0; slot < owned.size(); ++slot) {
-      refs.push_back(BatchPointRef{owned[slot], slot});
-    }
-    run_batched(grid, refs, options_, scalar_point_fn(), rows, report);
-    return rows;
+  return run_points(grid, assignment.owned.at(shard_index), report);
+}
+
+std::vector<sim::SimResult> Runner::run_points(const Grid& grid,
+                                               const std::vector<std::size_t>& points,
+                                               RunReport* report) const {
+  // Row slot i belongs to points[i]; every execution path writes disjoint
+  // slots, so rows are bit-identical at any thread count.
+  std::vector<sim::SimResult> rows(points.size());
+  if (report != nullptr) {
+    report->micros.assign(rows.size(), 0.0);
+    report->provenance.assign(rows.size(), kProvenanceScalar);
+    report->origin.assign(rows.size(), kOriginFresh);
   }
-  for_each_point(grid, owned, [this, &owned, &rows, report](const Point& point) {
-    const auto slot = static_cast<std::size_t>(
-        std::lower_bound(owned.begin(), owned.end(), point.index) - owned.begin());
+  const auto simulate_slot = [&](std::size_t slot) {
     double cost = 0.0;
     char source = kProvenanceScalar;
     char from = kOriginFresh;
-    rows[slot] = simulate_point(point, cost, source, from);
+    rows[slot] = simulate_point(grid.point(points[slot]), cost, source, from);
     record_row(report, slot, cost, source, from);
+  };
+  if (!options_.batch) {
+    for_each_unit(points.size(), simulate_slot);
+    return rows;
+  }
+  const std::vector<BatchUnit> units =
+      plan_batch_units(grid, points, options_, rows, report);
+  for_each_unit(units.size(), [&](std::size_t u) {
+    if (units[u].lockstep) {
+      run_lockstep_unit(grid, points, units[u], options_.cache, rows, report);
+    } else {
+      simulate_slot(units[u].slots.front());
+    }
   });
   return rows;
-}
-
-ScalarPointFn Runner::scalar_point_fn() const {
-  return [this](const Point& point, double& micros, char& provenance, char& origin) {
-    return simulate_point(point, micros, provenance, origin);
-  };
 }
 
 int Runner::thread_count(std::size_t point_count) const noexcept {
@@ -184,33 +130,15 @@ int Runner::thread_count(std::size_t point_count) const noexcept {
 
 void Runner::for_each_point(const Grid& grid,
                             const std::function<void(const Point&)>& body) const {
-  for_each_point(grid, Shard{}, body);
+  for_each_unit(grid.size(), [&](std::size_t i) { body(grid.point(i)); });
 }
 
-void Runner::for_each_point(const Grid& grid, const Shard& shard,
-                            const std::function<void(const Point&)>& body) const {
-  const auto global_index = [&shard](std::size_t position) {
-    return shard.index + position * shard.count;
-  };
-  pooled_for_each(grid, shard.owned_count(grid.size()), global_index, body);
-}
-
-void Runner::for_each_point(const Grid& grid, const std::vector<std::size_t>& points,
-                            const std::function<void(const Point&)>& body) const {
-  const auto global_index = [&points](std::size_t position) {
-    return points[position];
-  };
-  pooled_for_each(grid, points.size(), global_index, body);
-}
-
-template <typename IndexFn>
-void Runner::pooled_for_each(const Grid& grid, std::size_t count,
-                             const IndexFn& global_index,
-                             const std::function<void(const Point&)>& body) const {
+void Runner::for_each_unit(std::size_t count,
+                           const std::function<void(std::size_t)>& unit) const {
   if (count == 0) return;
   const int threads = thread_count(count);
   if (threads == 1) {
-    for (std::size_t i = 0; i < count; ++i) body(grid.point(global_index(i)));
+    for (std::size_t i = 0; i < count; ++i) unit(i);
     return;
   }
 
@@ -224,7 +152,7 @@ void Runner::pooled_for_each(const Grid& grid, std::size_t count,
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) return;
       try {
-        body(grid.point(global_index(i)));
+        unit(i);
       } catch (...) {
         {
           const std::lock_guard<std::mutex> lock(error_mutex);

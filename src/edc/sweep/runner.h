@@ -4,7 +4,7 @@
 // std::thread pool. Every grid point instantiates its own spec (fresh
 // sources, node, MCU, policy — nothing shared between points), so points
 // are embarrassingly parallel; results are written into a pre-sized vector
-// at the point's index, so the returned rows are in grid order regardless
+// at the point's slot, so the returned rows are in a fixed order regardless
 // of how the OS scheduled the workers. A parallel run is bit-identical to
 // a serial run of the same grid (tested in tests/sweep_test.cpp).
 //
@@ -14,14 +14,17 @@
 // Two scaling hooks compose with the pool (tests/sweep_cache_test.cpp,
 // tests/sweep_shard_test.cpp):
 //
-//  * options.cache points at a sweep::Cache: run()/run_shard() then load
-//    previously simulated points from disk instead of re-simulating them
-//    (bit-identical rows), and store fresh points. Specs that carry opaque
-//    factory callbacks are non-cacheable and always simulate.
-//  * run_shard(grid, shard) simulates only the points a Shard owns
-//    (global index i with i % N == k), for splitting one grid across
-//    processes or machines; per-shard CSVs merge back into exact grid
-//    order (see sweep/shard.h).
+//  * options.cache points at a sweep::Cache: run()/run_assignment() then
+//    load previously simulated points from disk instead of re-simulating
+//    them (bit-identical rows), and store fresh points. Specs that carry
+//    opaque factory callbacks are non-cacheable and always simulate.
+//  * run_assignment(grid, assignment, k) simulates only slice k of a
+//    ShardAssignment (index striding, or an LPT partition of measured
+//    costs), for splitting one grid across processes or machines;
+//    per-shard CSVs merge back into exact grid order (see sweep/shard.h).
+//
+// run() and run_assignment() share one body over a list of global point
+// indices: row i is the point named at position i of that list.
 //
 // For per-point data beyond SimResult (policy internals, NVM counters),
 // map() passes the still-live system to a caller-supplied extractor (the
@@ -60,9 +63,8 @@ class FaultInjector;
 inline constexpr char kOriginFresh = 'f';  ///< simulated on this run
 inline constexpr char kOriginWarm = 'w';   ///< loaded from the cache
 
-/// Per-row execution telemetry for one run()/run_shard()/run_assignment()
-/// call. All three columns are sized to the returned rows and indexed the
-/// same way:
+/// Per-row execution telemetry for one run()/run_assignment() call. All
+/// three columns are sized to the returned rows and indexed the same way:
 ///
 ///  * micros[i]      — the microseconds row i's simulation took on this
 ///    run, or — for a cache hit — the cost recorded when the point was
@@ -95,10 +97,11 @@ struct RunReport {
 
 struct RunnerOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency() (at least 1).
-  /// The pool never exceeds the number of grid points.
+  /// The pool never exceeds the number of work units (points, or batch
+  /// chunks).
   int threads = 0;
-  /// Optional on-disk memoiser for run()/run_shard() (see sweep/cache.h).
-  /// Not owned; must outlive the Runner. map() ignores it.
+  /// Optional on-disk memoiser for run()/run_assignment() (see
+  /// sweep/cache.h). Not owned; must outlive the Runner. map() ignores it.
   Cache* cache = nullptr;
   /// Batched execution strategy (see sweep/batch.h): group points whose
   /// source/front-end/lattice axes agree and step them in lockstep through
@@ -135,19 +138,12 @@ class Runner {
   [[nodiscard]] std::vector<sim::SimResult> run(
       const Grid& grid, RunReport* report = nullptr) const;
 
-  /// As run(), but only for the points `shard` owns; rows (and report
-  /// columns) are returned in ascending global-point order (matching
-  /// Shard::owned_points). The k-of-N results of a full partition merge
-  /// back into the run() rows.
-  [[nodiscard]] std::vector<sim::SimResult> run_shard(
-      const Grid& grid, const Shard& shard, RunReport* report = nullptr) const;
-
-  /// The cost-weighted re-run path: as run_shard(), but for slice
-  /// `shard_index` of an explicit ShardAssignment (e.g. the LPT partition
-  /// ShardAssignment::balanced builds from a previous run's report.micros
-  /// — a warm cached grid replays them without simulating). Rows are
-  /// returned in the slice's ascending global-point order; the slices of a
-  /// full assignment cover the run() rows exactly once.
+  /// As run(), but only for slice `shard_index` of `assignment` (index
+  /// striding, or the LPT partition ShardAssignment::balanced builds from
+  /// a previous run's report.micros — a warm cached grid replays them
+  /// without simulating). Row i (and report column i) is the point at
+  /// assignment.owned[shard_index][i], whatever order the slice lists; the
+  /// slices of a full assignment cover the run() rows exactly once.
   [[nodiscard]] std::vector<sim::SimResult> run_assignment(
       const Grid& grid, const ShardAssignment& assignment, std::size_t shard_index,
       RunReport* report = nullptr) const;
@@ -180,19 +176,17 @@ class Runner {
   void for_each_point(const Grid& grid,
                       const std::function<void(const Point&)>& body) const;
 
-  /// As for_each_point, restricted to the points `shard` owns.
-  void for_each_point(const Grid& grid, const Shard& shard,
-                      const std::function<void(const Point&)>& body) const;
-
-  /// As for_each_point, over an explicit list of global point indices
-  /// (each must be < grid.size()).
-  void for_each_point(const Grid& grid, const std::vector<std::size_t>& points,
-                      const std::function<void(const Point&)>& body) const;
-
-  /// The pool size a grid of `point_count` points would run with.
+  /// The pool size a run of `point_count` work units would use.
   [[nodiscard]] int thread_count(std::size_t point_count) const noexcept;
 
  private:
+  /// The one subset body behind run() and run_assignment(): simulates the
+  /// grid points named by `points` (global indices, any order) and returns
+  /// row i for points[i], on the scalar or the batch path.
+  [[nodiscard]] std::vector<sim::SimResult> run_points(
+      const Grid& grid, const std::vector<std::size_t>& points,
+      RunReport* report) const;
+
   /// Simulates one point, consulting options_.cache when set. `micros`
   /// receives the point's wall-time cost, `provenance` its execution path
   /// and `origin` whether it was simulated fresh or loaded warm (see
@@ -200,19 +194,12 @@ class Runner {
   [[nodiscard]] sim::SimResult simulate_point(const Point& point, double& micros,
                                               char& provenance, char& origin) const;
 
-  /// simulate_point wrapped as the batch executor's scalar fallback
-  /// (sweep::ScalarPointFn; spelled out here to avoid a header cycle with
-  /// sweep/batch.h).
-  [[nodiscard]] std::function<sim::SimResult(const Point&, double&, char&, char&)>
-  scalar_point_fn() const;
-
-  /// The shared thread-pool driver: executes body(grid.point(
-  /// global_index(p))) for p in [0, count) across the pool; first worker
-  /// exception rethrown on the calling thread after the pool drains.
-  template <typename IndexFn>
-  void pooled_for_each(const Grid& grid, std::size_t count,
-                       const IndexFn& global_index,
-                       const std::function<void(const Point&)>& body) const;
+  /// The one worker pool: executes unit(i) for every i in
+  /// [0, count) across thread_count(count) workers, each taking the next
+  /// unclaimed i. The first worker exception is rethrown on the calling
+  /// thread after the pool drains (unclaimed units are skipped).
+  void for_each_unit(std::size_t count,
+                     const std::function<void(std::size_t)>& unit) const;
 
   RunnerOptions options_;
 };

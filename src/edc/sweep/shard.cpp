@@ -9,13 +9,6 @@
 
 namespace edc::sweep {
 
-std::vector<std::size_t> Shard::owned_points(std::size_t grid_size) const {
-  std::vector<std::size_t> points;
-  points.reserve(owned_count(grid_size));
-  for (std::size_t i = index; i < grid_size; i += count) points.push_back(i);
-  return points;
-}
-
 Shard Shard::parse(const std::string& text) {
   const std::size_t slash = text.find('/');
   if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size()) {
@@ -47,9 +40,7 @@ ShardAssignment ShardAssignment::striding(std::size_t grid_size, std::size_t cou
   EDC_CHECK(count >= 1, "shard count must be >= 1");
   ShardAssignment assignment;
   assignment.owned.resize(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    assignment.owned[k] = Shard{k, count}.owned_points(grid_size);
-  }
+  for (std::size_t i = 0; i < grid_size; ++i) assignment.owned[i % count].push_back(i);
   return assignment;
 }
 

@@ -1,25 +1,24 @@
 // Process-level sharding of sweep grids.
 //
-// A Shard names one of N index-striding slices of a grid: shard k of N
-// owns every point whose global index i satisfies i % N == k. Striding
-// (rather than contiguous blocks) balances load when one axis
-// monotonically changes per-point cost (e.g. a capacitance axis that
-// lengthens brown-out tails), and makes ownership independent of the grid
-// size, so the same "--shard k/N" flag works for any grid shape.
-//
-// Independent processes (or machines) each run their own shard with
-// Runner::run_shard and write a shard CSV (report.h: write_shard_csv);
-// tools/sweep_merge — or merge_shard_csvs() — reassembles the per-shard
-// files into a CSV byte-identical to the unsharded serial run:
+// A ShardAssignment partitions a grid's global point indices into N
+// slices; independent processes (or machines) each run one slice with
+// Runner::run_assignment and write a shard CSV (report.h:
+// write_shard_csv); tools/sweep_merge — or merge_shard_csvs() —
+// reassembles the per-shard files into a CSV byte-identical to the
+// unsharded serial run:
 //
 //   bench --shard 0/2 --csv a.csv     # machine A
 //   bench --shard 1/2 --csv b.csv     # machine B
 //   sweep_merge merged.csv a.csv b.csv
 //
-// The merge is strict: shards must agree on grid size, shard count and
-// header, cover every point exactly once, and carry no duplicates —
-// anything else throws, so a lost or doubled shard can never produce a
-// silently truncated table.
+// Two partitions are built here: index striding (shard k owns every i
+// with i % N == k — balanced when per-point cost changes smoothly along
+// the grid, and independent of the grid shape) and the cost-weighted LPT
+// partition of measured per-point wall times. Every shard CSV row names
+// its own global index, so the merge needs no ownership rule: it checks
+// that the shards agree on grid size, shard count and header, cover every
+// point exactly once and carry no duplicates — anything else throws, so a
+// lost or doubled shard can never produce a silently truncated table.
 #pragma once
 
 #include <cstddef>
@@ -28,25 +27,11 @@
 
 namespace edc::sweep {
 
+/// The "k/N" label of one shard: which slice a process runs, and of how
+/// many (the CLI's --shard flag and the shard CSV's metadata line).
 struct Shard {
   std::size_t index = 0;  ///< this shard's id, in [0, count)
   std::size_t count = 1;  ///< total number of shards
-
-  /// True when this shard simulates global point `point_index`.
-  [[nodiscard]] bool owns(std::size_t point_index) const noexcept {
-    return point_index % count == index;
-  }
-
-  /// Number of points this shard owns in a grid of `grid_size` points.
-  [[nodiscard]] std::size_t owned_count(std::size_t grid_size) const noexcept {
-    return grid_size / count + (grid_size % count > index ? 1 : 0);
-  }
-
-  /// Ascending global indices of the owned points.
-  [[nodiscard]] std::vector<std::size_t> owned_points(std::size_t grid_size) const;
-
-  /// True for the trivial 1-of-1 shard (an unsharded run).
-  [[nodiscard]] bool is_full() const noexcept { return count == 1; }
 
   /// Parses "k/N" (e.g. "0/4"); requires N >= 1 and k < N. Throws
   /// std::invalid_argument on malformed input.
@@ -56,27 +41,29 @@ struct Shard {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Cost-weighted shard scheduling (ROADMAP): an explicit partition of a
-/// grid's points into shards, built from the measured per-point wall times
-/// a previous run recorded (Runner::run(grid, &report).micros; cache hits
-/// replay the point's original cost, so a warm grid re-shards for free).
+/// An explicit partition of a grid's points into shards.
 ///
 /// Index striding balances only when per-point cost varies smoothly along
 /// the grid; one expensive corner (a long brown-out tail, a slow policy)
-/// can make one stride-shard the straggler. balanced() runs LPT
-/// (longest-processing-time-first): points in descending cost order, each
-/// to the currently least-loaded shard — a classic 4/3-approximation of
-/// the optimal makespan, deterministic here so every process computes the
-/// identical partition from the identical timing vector.
+/// can make one stride-shard the straggler. balanced() builds the
+/// cost-weighted alternative from the measured per-point wall times a
+/// previous run recorded (Runner::run(grid, &report).micros; cache hits
+/// replay the point's original cost, so a warm grid re-shards for free).
+/// It runs LPT (longest-processing-time-first): points in descending cost
+/// order, each to the currently least-loaded shard — a classic
+/// 4/3-approximation of the optimal makespan, deterministic here so every
+/// process computes the identical partition from the identical timings.
 struct ShardAssignment {
-  /// owned[k] = ascending global indices shard k simulates. Every point
-  /// appears exactly once across the shards.
+  /// owned[k] = the global indices shard k simulates, in the order its
+  /// rows come back from Runner::run_assignment (ascending for the
+  /// partitions built below). Every point appears exactly once across the
+  /// shards.
   std::vector<std::vector<std::size_t>> owned;
 
   [[nodiscard]] std::size_t count() const noexcept { return owned.size(); }
 
-  /// The index-striding fallback partition: shard k owns i % count == k,
-  /// identical to Shard::owned_points for every k.
+  /// The index-striding partition: shard k owns every i < grid_size with
+  /// i % count == k.
   static ShardAssignment striding(std::size_t grid_size, std::size_t count);
 
   /// LPT-balanced partition of `micros` (one positive cost per grid

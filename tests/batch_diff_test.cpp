@@ -296,7 +296,7 @@ sim::BatchLane lane_of(core::EnergyDrivenSystem& system) {
 }
 
 TEST(BatchKernel, OneLaneMatchesSimulatorByteForByte) {
-  // run_batched sends singleton groups to the scalar path, so only a
+  // plan_batch_units sends singleton groups to the scalar path, so only a
   // direct kernel call exercises a one-lane lockstep front.
   spec::SystemSpec base;
   base.source = spec::SquareSource{3.3, 10.0, 0.5, 0.0, 50.0};

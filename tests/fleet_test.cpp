@@ -511,6 +511,7 @@ TEST(FleetRun, ColdWarmCacheRoundTrip) {
   const sim::FleetResult cold = sweep::run_fleet(fleet, runner, &cold_report);
   EXPECT_EQ(cold_report.fresh_count(), 3u);
   EXPECT_EQ(cold_report.warm_count(), 0u);
+  EXPECT_EQ(cold.completed_nodes(), 3u);
 
   sweep::RunReport warm_report;
   const sim::FleetResult warm = sweep::run_fleet(fleet, runner, &warm_report);

@@ -120,11 +120,11 @@ TEST(SweepScaling, TwoShardMergeSmoke) {
   std::ostringstream serial;
   sweep::write_csv(serial, grid, runner.run(grid));
 
+  const auto halves = sweep::ShardAssignment::striding(grid.size(), 2);
   std::vector<std::string> shard_texts;
   for (std::size_t k = 0; k < 2; ++k) {
-    const sweep::Shard shard{k, 2};
     std::ostringstream out;
-    sweep::write_shard_csv(out, grid, shard, runner.run_shard(grid, shard));
+    sweep::write_shard_csv(out, grid, halves, k, runner.run_assignment(grid, halves, k));
     shard_texts.push_back(out.str());
   }
   std::ostringstream merged;

@@ -1,7 +1,8 @@
 // Shard equivalence: for several grid shapes and every N in {1, 2, 3, 7},
-// the merged union of the k/N shard CSVs is byte-identical to the
+// the merged union of the k/N striding shard CSVs is byte-identical to the
 // unsharded serial run, and the merge rejects incomplete or inconsistent
-// partitions loudly.
+// partitions loudly. Cost-weighted (LPT) and hand-built slices run through
+// the same Runner::run_assignment body and the same shard CSV dialect.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -68,11 +69,18 @@ std::string full_csv(const sweep::Grid& grid,
   return out.str();
 }
 
-std::string shard_csv(const sweep::Grid& grid, const sweep::Shard& shard,
+std::string shard_csv(const sweep::Grid& grid,
+                      const sweep::ShardAssignment& assignment, std::size_t k,
                       const std::vector<sim::SimResult>& rows) {
   std::ostringstream out;
-  sweep::write_shard_csv(out, grid, shard, rows);
+  sweep::write_shard_csv(out, grid, assignment, k, rows);
   return out.str();
+}
+
+/// Runs slice k of `assignment` and returns its shard CSV text.
+std::string slice_csv(const sweep::Runner& runner, const sweep::Grid& grid,
+                      const sweep::ShardAssignment& assignment, std::size_t k) {
+  return shard_csv(grid, assignment, k, runner.run_assignment(grid, assignment, k));
 }
 
 TEST(Shard, ParseAndOwnership) {
@@ -80,8 +88,6 @@ TEST(Shard, ParseAndOwnership) {
   EXPECT_EQ(shard.index, 2u);
   EXPECT_EQ(shard.count, 7u);
   EXPECT_EQ(shard.to_string(), "2/7");
-  EXPECT_FALSE(shard.is_full());
-  EXPECT_TRUE(sweep::Shard{}.is_full());
 
   EXPECT_THROW((void)sweep::Shard::parse("3"), std::invalid_argument);
   EXPECT_THROW((void)sweep::Shard::parse("/2"), std::invalid_argument);
@@ -90,19 +96,20 @@ TEST(Shard, ParseAndOwnership) {
   EXPECT_THROW((void)sweep::Shard::parse("2/2"), std::invalid_argument);
   EXPECT_THROW((void)sweep::Shard::parse("0/0"), std::invalid_argument);
 
-  // Every point is owned by exactly one shard, and owned_points matches
-  // owns()/owned_count() for awkward sizes.
+  // The striding partition: every point is owned by exactly one shard,
+  // and shard k owns exactly the points with i % N == k, in ascending
+  // order, for awkward sizes.
   for (std::size_t grid_size : {1u, 5u, 12u, 13u}) {
     for (std::size_t count : {1u, 2u, 3u, 7u}) {
+      const auto assignment = sweep::ShardAssignment::striding(grid_size, count);
+      ASSERT_EQ(assignment.count(), count);
       std::vector<int> owners(grid_size, 0);
       for (std::size_t k = 0; k < count; ++k) {
-        const sweep::Shard s{k, count};
-        const auto points = s.owned_points(grid_size);
-        EXPECT_EQ(points.size(), s.owned_count(grid_size));
-        for (std::size_t p : points) {
-          EXPECT_TRUE(s.owns(p));
-          owners[p] += 1;
-        }
+        std::vector<std::size_t> expected;
+        for (std::size_t p = k; p < grid_size; p += count) expected.push_back(p);
+        EXPECT_EQ(assignment.owned[k], expected)
+            << "shard " << k << " of " << count << ", grid " << grid_size;
+        for (std::size_t p : assignment.owned[k]) owners[p] += 1;
       }
       for (std::size_t p = 0; p < grid_size; ++p) {
         EXPECT_EQ(owners[p], 1) << "point " << p << " with N=" << count;
@@ -122,21 +129,21 @@ TEST(Shard, MergedShardsAreByteIdenticalToSerialRun) {
 
     for (std::size_t count : {1u, 2u, 3u, 7u}) {
       SCOPED_TRACE("grid " + std::to_string(g) + " N=" + std::to_string(count));
+      const auto assignment = sweep::ShardAssignment::striding(grid.size(), count);
       std::vector<std::string> shard_texts;
       for (std::size_t k = 0; k < count; ++k) {
-        const sweep::Shard shard{k, count};
-        const auto rows = runner.run_shard(grid, shard);
+        const auto rows = runner.run_assignment(grid, assignment, k);
 
         // Row payloads match the serial run bit-for-bit at the owned
         // global indices.
-        const auto owned = shard.owned_points(grid.size());
+        const auto& owned = assignment.owned[k];
         ASSERT_EQ(rows.size(), owned.size());
         for (std::size_t pos = 0; pos < owned.size(); ++pos) {
           EXPECT_EQ(sim::serialize_result(rows[pos]),
                     sim::serialize_result(serial_rows[owned[pos]]));
         }
 
-        shard_texts.push_back(shard_csv(grid, shard, rows));
+        shard_texts.push_back(shard_csv(grid, assignment, k, rows));
       }
 
       std::ostringstream merged;
@@ -150,10 +157,9 @@ TEST(Shard, MergeRejectsBrokenPartitions) {
   const sweep::Runner runner;
   const sweep::Grid grid = one_axis_grid();
 
-  const sweep::Shard s0{0, 2};
-  const sweep::Shard s1{1, 2};
-  const std::string text0 = shard_csv(grid, s0, runner.run_shard(grid, s0));
-  const std::string text1 = shard_csv(grid, s1, runner.run_shard(grid, s1));
+  const auto halves = sweep::ShardAssignment::striding(grid.size(), 2);
+  const std::string text0 = slice_csv(runner, grid, halves, 0);
+  const std::string text1 = slice_csv(runner, grid, halves, 1);
 
   std::ostringstream sink;
   // Missing shard.
@@ -162,15 +168,22 @@ TEST(Shard, MergeRejectsBrokenPartitions) {
   EXPECT_THROW(sweep::merge_shard_csvs({text0, text0}, sink),
                std::invalid_argument);
   // Mixed partition sizes.
-  const sweep::Shard t0{0, 3};
-  const std::string text_t0 = shard_csv(grid, t0, runner.run_shard(grid, t0));
+  const auto thirds = sweep::ShardAssignment::striding(grid.size(), 3);
+  const std::string text_t0 = slice_csv(runner, grid, thirds, 0);
   EXPECT_THROW(sweep::merge_shard_csvs({text_t0, text1}, sink),
                std::invalid_argument);
   // Disagreeing headers (different grid axes).
   const sweep::Grid other = two_axis_grid();
-  const sweep::Shard o1{1, 2};
-  const std::string text_other = shard_csv(other, o1, runner.run_shard(other, o1));
+  const std::string text_other = slice_csv(
+      runner, other, sweep::ShardAssignment::striding(other.size(), 2), 1);
   EXPECT_THROW(sweep::merge_shard_csvs({text0, text_other}, sink),
+               std::invalid_argument);
+  // The retired v1 (striding-ownership) dialect is no longer a shard CSV.
+  const std::string v2_magic = "# edc-sweep-shard v2 ";
+  ASSERT_EQ(text1.rfind(v2_magic, 0), 0u);
+  const std::string text1_v1 =
+      "# edc-sweep-shard v1 " + text1.substr(v2_magic.size());
+  EXPECT_THROW(sweep::merge_shard_csvs({text0, text1_v1}, sink),
                std::invalid_argument);
   // Not a shard CSV at all.
   EXPECT_THROW(sweep::merge_shard_csvs({"hello\n"}, sink), std::invalid_argument);
@@ -185,12 +198,12 @@ TEST(Shard, ShardedRunnerComposesWithEmptyShards) {
   const sweep::Runner runner;
   const std::string serial_text = full_csv(grid, runner.run(grid));
 
+  const auto assignment = sweep::ShardAssignment::striding(grid.size(), 3);
   std::vector<std::string> shard_texts;
   for (std::size_t k = 0; k < 3; ++k) {
-    const sweep::Shard shard{k, 3};
-    const auto rows = runner.run_shard(grid, shard);
+    const auto rows = runner.run_assignment(grid, assignment, k);
     if (k == 2) EXPECT_TRUE(rows.empty());
-    shard_texts.push_back(shard_csv(grid, shard, rows));
+    shard_texts.push_back(shard_csv(grid, assignment, k, rows));
   }
   std::ostringstream merged;
   sweep::merge_shard_csvs(shard_texts, merged);
@@ -202,9 +215,9 @@ TEST(Shard, ShardedRunnerComposesWithEmptyShards) {
 TEST(ShardAssignment, StridingMatchesShardOwnership) {
   const auto assignment = sweep::ShardAssignment::striding(11, 3);
   ASSERT_EQ(assignment.count(), 3u);
-  for (std::size_t k = 0; k < 3; ++k) {
-    EXPECT_EQ(assignment.owned[k], (sweep::Shard{k, 3}.owned_points(11)));
-  }
+  EXPECT_EQ(assignment.owned[0], (std::vector<std::size_t>{0, 3, 6, 9}));
+  EXPECT_EQ(assignment.owned[1], (std::vector<std::size_t>{1, 4, 7, 10}));
+  EXPECT_EQ(assignment.owned[2], (std::vector<std::size_t>{2, 5, 8}));
 }
 
 TEST(ShardAssignment, BalancedBeatsStridingOnSkewedCosts) {
@@ -248,9 +261,9 @@ TEST(ShardAssignment, FallsBackToStridingWithoutTimings) {
 }
 
 TEST(ShardAssignment, AssignmentShardCsvsMergeByteIdenticallyToSerialRun) {
-  // The cost-weighted CSV loop: LPT slices written as v2 assignment shard
-  // CSVs must merge into the exact write_csv bytes of the unsharded run,
-  // for skewed partitions striding could never produce.
+  // The cost-weighted CSV loop: LPT slices written as shard CSVs must
+  // merge into the exact write_csv bytes of the unsharded run, for skewed
+  // partitions striding could never produce.
   const sweep::Grid grid = two_axis_grid();
   const sweep::Runner runner;
   sweep::RunReport report;
@@ -261,10 +274,7 @@ TEST(ShardAssignment, AssignmentShardCsvsMergeByteIdenticallyToSerialRun) {
     const auto assignment = sweep::ShardAssignment::balanced(report.micros, count);
     std::vector<std::string> shard_texts;
     for (std::size_t k = 0; k < assignment.count(); ++k) {
-      const auto rows = runner.run_assignment(grid, assignment, k);
-      std::ostringstream out;
-      sweep::write_assignment_shard_csv(out, grid, assignment, k, rows);
-      shard_texts.push_back(out.str());
+      shard_texts.push_back(slice_csv(runner, grid, assignment, k));
     }
     std::ostringstream merged;
     sweep::merge_shard_csvs(shard_texts, merged);
@@ -301,6 +311,36 @@ TEST(ShardAssignment, RunAssignmentMatchesRunBitIdentically) {
     covered += rows.size();
   }
   EXPECT_EQ(covered, grid.size());
+}
+
+TEST(ShardAssignment, UnsortedSliceRowsFollowSliceOrder) {
+  // `owned` is a public field, so a hand-built slice may list its points
+  // in any order. Row i must be the point at owned[k][i] on the scalar and
+  // the batch path alike (points 1 and 3 share a source, so the batch path
+  // steps them as one lockstep unit).
+  const sweep::Grid grid = two_axis_grid();
+  const auto serial = sweep::Runner().run(grid);
+  sweep::ShardAssignment assignment;
+  assignment.owned = {{3, 1}, {0, 2}};
+
+  for (const bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "batch" : "scalar");
+    sweep::RunnerOptions options;
+    options.threads = 1;
+    options.batch = batch;
+    const sweep::Runner runner(options);
+    for (std::size_t k = 0; k < assignment.count(); ++k) {
+      sweep::RunReport report;
+      const auto rows = runner.run_assignment(grid, assignment, k, &report);
+      ASSERT_EQ(rows.size(), assignment.owned[k].size());
+      ASSERT_EQ(report.micros.size(), rows.size());
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(sim::serialize_result(rows[i]),
+                  sim::serialize_result(serial[assignment.owned[k][i]]))
+            << "shard " << k << " row " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,11 +3,13 @@
 //   sweep_merge <output.csv|-> <shard0.csv> <shard1.csv> ...
 //
 // The inputs are the files written by sweep::write_shard_csv (a bench's
-// --shard k/N --csv mode); the output is byte-identical to the CSV an
-// unsharded run of the same grid would have written. The merge is strict:
-// every shard of the k/N partition must be present exactly once and the
-// shards must agree on grid size and header, so a lost or duplicated
-// shard fails the merge instead of silently truncating the table.
+// --shard k/N --csv mode, striding or --shard-plan LPT partition alike:
+// every row names its own global index); the output is byte-identical to
+// the CSV an unsharded run of the same grid would have written. The merge
+// is strict: every shard of the k/N partition must be present exactly
+// once, the shards must agree on grid size and header, and every point
+// must be covered exactly once, so a lost or duplicated shard fails the
+// merge instead of silently truncating the table.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -21,9 +23,9 @@ namespace {
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0 << " <output.csv|-> <shard.csv> [<shard.csv> ...]\n"
-            << "Merges per-shard sweep CSVs (write_shard_csv / a bench's\n"
-            << "--shard k/N --csv mode) into the byte stream of the unsharded\n"
-            << "run. '-' writes to stdout.\n";
+            << "Merges the shard CSVs of one k/N partition (write_shard_csv /\n"
+            << "a bench's --shard k/N --csv mode, with or without --shard-plan)\n"
+            << "into the byte stream of the unsharded run. '-' writes to stdout.\n";
   return 2;
 }
 
