@@ -1,6 +1,7 @@
 #include "edc/common/canon.h"
 
 #include <charconv>
+#include <cstring>
 
 namespace edc::canon {
 
@@ -120,19 +121,16 @@ void Writer::begin(std::string_view key, std::string_view tag) {
 
 void Writer::end() { --depth_; }
 
-void Writer::field(std::string_view key, double v) { open(key, double_text(v)); }
-void Writer::field(std::string_view key, std::uint64_t v) {
-  open(key, std::to_string(v));
+void Writer::field(std::string_view key, double v) {
+  char buffer[kNumberChars];
+  open(key, number_text(buffer, v));
 }
-void Writer::field(std::string_view key, int v) { open(key, std::to_string(v)); }
 void Writer::field(std::string_view key, bool v) { open(key, v ? "1" : "0"); }
-void Writer::field_size(std::string_view key, std::size_t v) {
-  open(key, std::to_string(v));
+void Writer::field(std::string_view key, const std::string& v) { open(key, quote(v)); }
+void Writer::bare(double v) {
+  char buffer[kNumberChars];
+  open(number_text(buffer, v), {});
 }
-void Writer::field_string(std::string_view key, std::string_view v) {
-  open(key, quote(v));
-}
-void Writer::bare(double v) { open(double_text(v), {}); }
 
 std::string Writer::take() { return std::move(out_); }
 
@@ -199,33 +197,24 @@ std::string_view Reader::begin_tagged(std::string_view key) {
 
 void Reader::end() { --depth_; }
 
-double Reader::number(std::string_view key) { return parse_double(require_value(key)); }
-std::uint64_t Reader::u64(std::string_view key) { return parse_u64(require_value(key)); }
-int Reader::integer(std::string_view key) {
-  return static_cast<int>(parse_i64(require_value(key)));
+void Reader::field(std::string_view key, double& v) { v = parse_double(require_value(key)); }
+
+void Reader::field(std::string_view key, bool& v) {
+  const std::string_view text = require_value(key);
+  if (text != "1" && text != "0") {
+    throw FormatError("malformed boolean on field '" + std::string(key) + "'");
+  }
+  v = text == "1";
 }
 
-bool Reader::boolean(std::string_view key) {
-  const std::string_view v = require_value(key);
-  if (v == "1") return true;
-  if (v == "0") return false;
-  throw FormatError("malformed boolean on field '" + std::string(key) + "'");
-}
-
-std::size_t Reader::size_value(std::string_view key) {
-  return static_cast<std::size_t>(parse_u64(require_value(key)));
-}
-
-std::string_view Reader::tag(std::string_view key) { return require_value(key); }
-
-std::string Reader::text(std::string_view key) {
+void Reader::field(std::string_view key, std::string& v) {
   // Strings may contain spaces, so bypass the single-token check in take().
   const std::string_view rest = next_line();
   if (rest.substr(0, key.size()) != key || rest.size() <= key.size() ||
       rest[key.size()] != ' ') {
     throw FormatError("expected string field '" + std::string(key) + "'");
   }
-  return unquote(rest.substr(key.size() + 1));
+  v = unquote(rest.substr(key.size() + 1));
 }
 
 double Reader::bare_number() { return parse_double(next_line()); }
@@ -254,6 +243,62 @@ std::string_view Reader::next_line() {
     throw FormatError("bad indentation at line: '" + std::string(line) + "'");
   }
   return line.substr(indent);
+}
+
+// ---- block framing --------------------------------------------------------
+
+std::optional<std::string> StringSource::read_line() {
+  const std::size_t nl = bytes_.find('\n', pos_);
+  if (nl == std::string::npos) return std::nullopt;
+  std::string line = bytes_.substr(pos_, nl - pos_);
+  pos_ = nl + 1;
+  return line;
+}
+
+bool StringSource::read_exact(char* dst, std::size_t n) {
+  if (n > remaining()) return false;
+  std::memcpy(dst, bytes_.data() + pos_, n);
+  pos_ += n;
+  return true;
+}
+
+std::string line_value(std::optional<std::string> line, std::string_view key) {
+  if (!line || line->size() <= key.size() || line->compare(0, key.size(), key) != 0 ||
+      (*line)[key.size()] != ' ') {
+    throw FormatError("expected '" + std::string(key) + " <value>' line");
+  }
+  line->erase(0, key.size() + 1);
+  return std::move(*line);
+}
+
+void append_block(std::string& out, std::string_view key, std::string_view bytes) {
+  out += key;
+  out += ' ';
+  out += std::to_string(bytes.size());
+  out += '\n';
+  out += bytes;
+}
+
+std::string read_block(ByteSource& in, std::string_view key, std::size_t limit) {
+  const std::string header = line_value(in.read_line(), key);
+  std::uint64_t length = 0;
+  try {
+    length = parse_u64(header);
+  } catch (const FormatError&) {
+    throw FormatError("malformed " + std::string(key) + " length");
+  }
+  if (length > limit) {
+    throw FormatError(std::string(key) + " block exceeds " + std::to_string(limit) +
+                      " bytes");
+  }
+  if (length > in.remaining()) {
+    throw FormatError("truncated " + std::string(key) + " block");
+  }
+  std::string block(static_cast<std::size_t>(length), '\0');
+  if (length > 0 && !in.read_exact(block.data(), block.size())) {
+    throw FormatError("short read inside " + std::string(key) + " block");
+  }
+  return block;
 }
 
 }  // namespace edc::canon

@@ -1,6 +1,6 @@
 #include "edc/serve/protocol.h"
 
-#include <cstring>
+#include <array>
 
 #include "edc/common/canon.h"
 
@@ -8,102 +8,58 @@ namespace edc::serve {
 
 namespace {
 
-const char* op_name(Request::Op op) {
-  switch (op) {
-    case Request::Op::kRun: return "run";
-    case Request::Op::kStats: return "stats";
-    case Request::Op::kPing: return "ping";
-    case Request::Op::kShutdown: return "shutdown";
+// Wire names in Request::Op / Response::Status order.
+constexpr std::array<std::string_view, 4> kOpNames{"run", "stats", "ping", "shutdown"};
+constexpr std::array<std::string_view, 3> kStatusNames{"ok", "busy", "error"};
+
+/// The value of a `key name` line, as its index in `names`.
+template <std::size_t N>
+std::size_t choice(std::optional<std::string> line, std::string_view key,
+                   const std::array<std::string_view, N>& names) {
+  const std::string value = canon::line_value(std::move(line), key);
+  for (std::size_t i = 0; i < N; ++i) {
+    if (names[i] == value) return i;
   }
-  return "run";
+  throw canon::FormatError("unknown " + std::string(key) + " '" + value + "'");
 }
 
-const char* status_name(Response::Status status) {
-  switch (status) {
-    case Response::Status::kOk: return "ok";
-    case Response::Status::kBusy: return "busy";
-    case Response::Status::kError: return "error";
+/// The value of a `key <count>` line, bounded by kMaxPoints before
+/// anything is allocated.
+std::size_t bounded_count(std::optional<std::string> line, std::string_view key) {
+  const std::uint64_t count = canon::parse_u64(canon::line_value(std::move(line), key));
+  if (count > kMaxPoints) {
+    throw canon::FormatError(std::string(key) + " count exceeds " +
+                             std::to_string(kMaxPoints));
   }
-  return "error";
+  return static_cast<std::size_t>(count);
 }
 
-void append_block(std::string& out, const char* key, const std::string& bytes) {
-  out += key;
-  out += ' ';
-  out += std::to_string(bytes.size());
-  out += '\n';
-  out += bytes;
-}
-
-bool fail(std::string* error, const std::string& reason) {
-  if (error != nullptr) *error = reason;
-  return false;
-}
-
-/// Reads `key <N>\n` + N raw bytes; false (with reason) on mismatch.
-bool read_block(ByteSource& in, const char* key, std::string* block,
-                std::string* error) {
-  const auto header = in.read_line();
-  const std::string prefix = std::string(key) + ' ';
-  if (!header || header->rfind(prefix, 0) != 0) {
-    return fail(error, std::string("expected '") + key + " <bytes>' header");
+void expect_line(ByteSource& in, std::string_view want) {
+  const auto line = in.read_line();
+  if (!line || *line != want) {
+    throw canon::FormatError("expected '" + std::string(want) + "' line");
   }
-  std::size_t length = 0;
+}
+
+/// Runs a frame decoder, turning its FormatError into nullopt + `*error`.
+template <typename Decode>
+auto decode_frame(std::string* error, Decode&& decode) -> std::optional<decltype(decode())> {
   try {
-    length = static_cast<std::size_t>(
-        canon::parse_u64(std::string_view(*header).substr(prefix.size())));
-  } catch (const canon::FormatError&) {
-    return fail(error, std::string("malformed ") + key + " length");
+    return decode();
+  } catch (const canon::FormatError& failure) {
+    if (error != nullptr) *error = failure.what();
+    return std::nullopt;
   }
-  if (length > kMaxBlockBytes) {
-    return fail(error, std::string(key) + " block exceeds " +
-                           std::to_string(kMaxBlockBytes) + " bytes");
-  }
-  block->resize(length);
-  if (length > 0 && !in.read_exact(block->data(), length)) {
-    return fail(error, std::string("short read inside ") + key + " block");
-  }
-  return true;
-}
-
-bool read_magic_line(ByteSource& in, std::string* error) {
-  const auto magic = in.read_line();
-  if (!magic || *magic != kFrameMagic) {
-    return fail(error, "bad frame magic (want '" + std::string(kFrameMagic) +
-                           "')");
-  }
-  return true;
-}
-
-bool read_end_line(ByteSource& in, std::string* error) {
-  const auto end = in.read_line();
-  if (!end || *end != "end") return fail(error, "missing 'end' trailer");
-  return true;
 }
 
 }  // namespace
-
-std::optional<std::string> StringSource::read_line() {
-  const std::size_t nl = bytes_.find('\n', pos_);
-  if (nl == std::string::npos) return std::nullopt;
-  std::string line = bytes_.substr(pos_, nl - pos_);
-  pos_ = nl + 1;
-  return line;
-}
-
-bool StringSource::read_exact(char* dst, std::size_t n) {
-  if (bytes_.size() - pos_ < n) return false;
-  std::memcpy(dst, bytes_.data() + pos_, n);
-  pos_ += n;
-  return true;
-}
 
 std::string encode_request(const Request& request) {
   std::string out;
   out += kFrameMagic;
   out += '\n';
   out += "op ";
-  out += op_name(request.op);
+  out += kOpNames[static_cast<std::size_t>(request.op)];
   out += '\n';
   if (request.op == Request::Op::kRun) {
     if (request.deadline_ms > 0.0) {
@@ -111,7 +67,7 @@ std::string encode_request(const Request& request) {
     }
     out += "points " + std::to_string(request.points.size()) + '\n';
     for (const std::string& point : request.points) {
-      append_block(out, "point_bytes", point);
+      canon::append_block(out, "point_bytes", point);
     }
   }
   out += "end\n";
@@ -123,7 +79,7 @@ std::string encode_response(const Response& response) {
   out += kFrameMagic;
   out += '\n';
   out += "status ";
-  out += status_name(response.status);
+  out += kStatusNames[static_cast<std::size_t>(response.status)];
   out += '\n';
   if (response.status == Response::Status::kError) {
     out += "error " + canon::quote(response.error) + '\n';
@@ -131,143 +87,58 @@ std::string encode_response(const Response& response) {
   if (response.status == Response::Status::kOk) {
     out += "rows " + std::to_string(response.rows.size()) + '\n';
     for (const std::string& row : response.rows) {
-      append_block(out, "row_bytes", row);
+      canon::append_block(out, "row_bytes", row);
     }
-    append_block(out, "stats_bytes", response.stats_text);
+    canon::append_block(out, "stats_bytes", response.stats_text);
   }
   out += "end\n";
   return out;
 }
 
 std::optional<Request> read_request(ByteSource& in, std::string* error) {
-  if (!read_magic_line(in, error)) return std::nullopt;
-
-  const auto op_line = in.read_line();
-  if (!op_line || op_line->rfind("op ", 0) != 0) {
-    fail(error, "expected 'op <run|stats|ping|shutdown>'");
-    return std::nullopt;
-  }
-  Request request;
-  const std::string_view op = std::string_view(*op_line).substr(3);
-  if (op == "run") {
-    request.op = Request::Op::kRun;
-  } else if (op == "stats") {
-    request.op = Request::Op::kStats;
-  } else if (op == "ping") {
-    request.op = Request::Op::kPing;
-  } else if (op == "shutdown") {
-    request.op = Request::Op::kShutdown;
-  } else {
-    fail(error, "unknown op '" + std::string(op) + "'");
-    return std::nullopt;
-  }
-
-  if (request.op == Request::Op::kRun) {
-    auto line = in.read_line();
-    if (line && line->rfind("deadline_ms ", 0) == 0) {
-      try {
+  return decode_frame(error, [&in] {
+    expect_line(in, kFrameMagic);
+    Request request;
+    request.op = static_cast<Request::Op>(choice(in.read_line(), "op", kOpNames));
+    if (request.op == Request::Op::kRun) {
+      auto line = in.read_line();
+      if (line && line->rfind("deadline_ms ", 0) == 0) {
         request.deadline_ms =
-            canon::parse_double(std::string_view(*line).substr(12));
-      } catch (const canon::FormatError&) {
-        fail(error, "malformed deadline_ms");
-        return std::nullopt;
+            canon::parse_double(canon::line_value(std::move(line), "deadline_ms"));
+        if (!(request.deadline_ms > 0.0)) {
+          throw canon::FormatError("deadline_ms must be positive");
+        }
+        line = in.read_line();
       }
-      if (!(request.deadline_ms > 0.0)) {
-        fail(error, "deadline_ms must be positive");
-        return std::nullopt;
+      request.points.resize(bounded_count(std::move(line), "points"));
+      for (std::string& point : request.points) {
+        point = canon::read_block(in, "point_bytes", kMaxBlockBytes);
       }
-      line = in.read_line();
     }
-    if (!line || line->rfind("points ", 0) != 0) {
-      fail(error, "expected 'points <count>'");
-      return std::nullopt;
-    }
-    std::size_t count = 0;
-    try {
-      count = static_cast<std::size_t>(
-          canon::parse_u64(std::string_view(*line).substr(7)));
-    } catch (const canon::FormatError&) {
-      fail(error, "malformed points count");
-      return std::nullopt;
-    }
-    if (count > kMaxPoints) {
-      fail(error, "points count exceeds " + std::to_string(kMaxPoints));
-      return std::nullopt;
-    }
-    request.points.resize(count);
-    for (std::string& point : request.points) {
-      if (!read_block(in, "point_bytes", &point, error)) return std::nullopt;
-    }
-  }
-
-  if (!read_end_line(in, error)) return std::nullopt;
-  return request;
+    expect_line(in, "end");
+    return request;
+  });
 }
 
 std::optional<Response> read_response(ByteSource& in, std::string* error) {
-  if (!read_magic_line(in, error)) return std::nullopt;
-
-  const auto status_line = in.read_line();
-  if (!status_line || status_line->rfind("status ", 0) != 0) {
-    fail(error, "expected 'status <ok|busy|error>'");
-    return std::nullopt;
-  }
-  Response response;
-  const std::string_view status = std::string_view(*status_line).substr(7);
-  if (status == "ok") {
-    response.status = Response::Status::kOk;
-  } else if (status == "busy") {
-    response.status = Response::Status::kBusy;
-  } else if (status == "error") {
-    response.status = Response::Status::kError;
-  } else {
-    fail(error, "unknown status '" + std::string(status) + "'");
-    return std::nullopt;
-  }
-
-  if (response.status == Response::Status::kError) {
-    const auto error_line = in.read_line();
-    if (!error_line || error_line->rfind("error ", 0) != 0) {
-      fail(error, "expected 'error <reason>'");
-      return std::nullopt;
+  return decode_frame(error, [&in] {
+    expect_line(in, kFrameMagic);
+    Response response;
+    response.status =
+        static_cast<Response::Status>(choice(in.read_line(), "status", kStatusNames));
+    if (response.status == Response::Status::kError) {
+      response.error = canon::unquote(canon::line_value(in.read_line(), "error"));
     }
-    try {
-      response.error = canon::unquote(std::string_view(*error_line).substr(6));
-    } catch (const canon::FormatError&) {
-      fail(error, "malformed error quoting");
-      return std::nullopt;
+    if (response.status == Response::Status::kOk) {
+      response.rows.resize(bounded_count(in.read_line(), "rows"));
+      for (std::string& row : response.rows) {
+        row = canon::read_block(in, "row_bytes", kMaxBlockBytes);
+      }
+      response.stats_text = canon::read_block(in, "stats_bytes", kMaxBlockBytes);
     }
-  }
-
-  if (response.status == Response::Status::kOk) {
-    const auto rows_line = in.read_line();
-    if (!rows_line || rows_line->rfind("rows ", 0) != 0) {
-      fail(error, "expected 'rows <count>'");
-      return std::nullopt;
-    }
-    std::size_t count = 0;
-    try {
-      count = static_cast<std::size_t>(
-          canon::parse_u64(std::string_view(*rows_line).substr(5)));
-    } catch (const canon::FormatError&) {
-      fail(error, "malformed rows count");
-      return std::nullopt;
-    }
-    if (count > kMaxPoints) {
-      fail(error, "rows count exceeds " + std::to_string(kMaxPoints));
-      return std::nullopt;
-    }
-    response.rows.resize(count);
-    for (std::string& row : response.rows) {
-      if (!read_block(in, "row_bytes", &row, error)) return std::nullopt;
-    }
-    if (!read_block(in, "stats_bytes", &response.stats_text, error)) {
-      return std::nullopt;
-    }
-  }
-
-  if (!read_end_line(in, error)) return std::nullopt;
-  return response;
+    expect_line(in, "end");
+    return response;
+  });
 }
 
 }  // namespace edc::serve

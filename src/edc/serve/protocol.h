@@ -30,11 +30,12 @@
 //
 // Framing is self-delimiting (the trailing `end` guards against trailing
 // garbage), so one TCP connection carries exactly one request/response
-// exchange. Decoding is strict and *bounded*: unknown lines, out-of-order
-// fields, short blocks, oversized counts (kMaxPoints) or blocks
-// (kMaxBlockBytes) all fail loudly with a reason instead of allocating
-// unbounded memory — a malformed or malicious frame costs the daemon one
-// error reply, never its heap.
+// exchange. The `*_bytes` blocks are canon::append_block / read_block.
+// Decoding is strict and *bounded*: unknown lines, out-of-order fields,
+// short blocks, oversized counts (kMaxPoints) or blocks (kMaxBlockBytes)
+// all fail loudly with a reason instead of allocating unbounded memory — a
+// malformed or malicious frame costs the daemon one error reply, never its
+// heap.
 #pragma once
 
 #include <cstddef>
@@ -42,6 +43,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "edc/common/canon.h"
 
 namespace edc::serve {
 
@@ -71,28 +74,10 @@ struct Response {
 
 /// Byte source the decoder pulls frames from: a connected socket
 /// (serve::Stream) or an in-memory buffer (StringSource, for tests and
-/// tools). read_line strips the trailing '\n'; both return failure on
-/// exhaustion instead of throwing.
-class ByteSource {
- public:
-  virtual ~ByteSource() = default;
-  [[nodiscard]] virtual std::optional<std::string> read_line() = 0;
-  [[nodiscard]] virtual bool read_exact(char* dst, std::size_t n) = 0;
-};
-
-/// ByteSource over an in-memory frame (tests, loopback tooling).
-class StringSource final : public ByteSource {
- public:
-  explicit StringSource(std::string bytes) : bytes_(std::move(bytes)) {}
-  [[nodiscard]] std::optional<std::string> read_line() override;
-  [[nodiscard]] bool read_exact(char* dst, std::size_t n) override;
-  /// True when every byte has been consumed (frame had no trailing junk).
-  [[nodiscard]] bool exhausted() const noexcept { return pos_ == bytes_.size(); }
-
- private:
-  std::string bytes_;
-  std::size_t pos_ = 0;
-};
+/// tools). The block framing is canon's, shared with the cache entry and
+/// fleet result formats.
+using ByteSource = canon::ByteSource;
+using StringSource = canon::StringSource;
 
 [[nodiscard]] std::string encode_request(const Request& request);
 [[nodiscard]] std::string encode_response(const Response& response);

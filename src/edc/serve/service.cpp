@@ -490,7 +490,12 @@ void Service::start() {
 }
 
 void Service::request_stop() {
-  running_.store(false);
+  {
+    // Under the queue mutex, so a worker between its predicate check and
+    // its wait cannot miss the notification below.
+    const std::lock_guard<std::mutex> lock(queue_mutex_);
+    running_.store(false);
+  }
   listener_.shutdown();
   queue_cv_.notify_all();
 }

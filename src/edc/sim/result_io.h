@@ -7,7 +7,10 @@
 // row format of the sweep cache (edc/sweep/cache): a cached point replays
 // exactly the bytes a fresh simulation would produce.
 //
-// Bump kResultFormatVersion whenever the canonical byte stream of an
+// SimResult, McuMetrics and StateChange each have one field list in
+// result_io.cpp that both directions run (see edc/common/canon.h): a field
+// is added by one line in its record's field list, plus a bump of
+// kResultFormatVersion. Bump it whenever the canonical byte stream of an
 // existing result would change (new field, reordered field); the cache
 // keys its directory layout on this version, so stale entries age out
 // instead of misparsing.
@@ -36,7 +39,8 @@ inline constexpr int kResultFormatVersion = 2;
 
 // The FleetResult container is a framing wrapper, not a new row format:
 // each node block carries the exact serialize_result() byte stream, length
-// prefixed (the sweep cache's entry idiom), so a fleet round-trip preserves
+// prefixed (canon's block framing, shared with the cache entry and the
+// serve frames), so a fleet round-trip preserves
 // every node result bit-identically and the per-node row format can evolve
 // independently behind kResultFormatVersion.
 //

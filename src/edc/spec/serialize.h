@@ -18,6 +18,13 @@
 // names the offending field, and serialize() throws. The sweep cache
 // simulates them unconditionally.
 //
+// Each record (every source and policy variant, rectifier, harvester,
+// storage, workload, governor, mcu/power, sim, the fleet coupling) has one
+// field list in serialize.cpp that both serialize() and parse_spec() run
+// (see edc/common/canon.h), and each tag set (variants, enums) one table.
+// A field is added by one line in its record's field list, plus a version
+// bump.
+//
 // Versioning policy: kSpecFormatVersion is part of the header line and of
 // the cache directory layout. Bump it whenever the canonical byte stream
 // for an existing spec would change (new field, reordered field, changed

@@ -17,12 +17,12 @@ namespace edc::sweep {
 
 namespace {
 
-// v2: a `micros` wall-time line between the magic and the blocks (PR 3).
-// v3: a `provenance` line ('s' scalar / 'b' batch) after the wall time
-//     (PR 6). v2 entries still decode — they all predate the batch path,
-//     so their provenance is 's' by construction.
+// v2: a `micros` wall-time line between the magic and the blocks.
+// v3: a `provenance` line ('s' scalar / 'b' batch) after the wall time.
+// Only v3 decodes: entries live under v<S>-<R>, and v2 entries were only
+// ever written next to spec formats <= v4, whose directories the current
+// code never opens.
 constexpr char kEntryMagic[] = "edc.CacheEntry v3";
-constexpr char kEntryMagicV2[] = "edc.CacheEntry v2";
 
 std::string hex16(std::uint64_t value) {
   char buffer[17];
@@ -31,8 +31,9 @@ std::string hex16(std::uint64_t value) {
   return buffer;
 }
 
-/// Entry format: metadata lines plus two length-prefixed raw blocks, so
-/// neither the key nor the result text needs escaping:
+/// Entry format: metadata lines plus two length-prefixed raw blocks
+/// (canon::append_block), so neither the key nor the result text needs
+/// escaping:
 ///
 ///   edc.CacheEntry v3\n
 ///   micros <wall time of the original simulation, canonical double>\n
@@ -51,10 +52,8 @@ std::string encode_entry(const std::string& key_text, const std::string& result_
   out += "provenance ";
   out += provenance;
   out += '\n';
-  out += "spec_bytes " + std::to_string(key_text.size()) + '\n';
-  out += key_text;
-  out += "result_bytes " + std::to_string(result_text.size()) + '\n';
-  out += result_text;
+  canon::append_block(out, "spec_bytes", key_text);
+  canon::append_block(out, "result_bytes", result_text);
   return out;
 }
 
@@ -66,61 +65,25 @@ struct DecodedEntry {
 };
 
 /// Splits an entry back into its parts; nullopt on any corruption (bad
-/// magic, malformed wall time, truncated blocks, trailing bytes).
-std::optional<DecodedEntry> decode_entry(const std::string& bytes) {
-  std::size_t pos = 0;
-  const auto read_line = [&]() -> std::optional<std::string> {
-    const std::size_t end = bytes.find('\n', pos);
-    if (end == std::string::npos) return std::nullopt;
-    std::string line = bytes.substr(pos, end - pos);
-    pos = end + 1;
-    return line;
-  };
-  const auto read_block = [&](const char* prefix) -> std::optional<std::string> {
-    const auto header = read_line();
-    if (!header || header->rfind(prefix, 0) != 0) return std::nullopt;
-    std::size_t length = 0;
-    try {
-      length = static_cast<std::size_t>(
-          canon::parse_u64(std::string_view(*header).substr(std::string(prefix).size())));
-    } catch (const canon::FormatError&) {
-      return std::nullopt;
-    }
-    if (pos + length > bytes.size()) return std::nullopt;
-    std::string block = bytes.substr(pos, length);
-    pos += length;
-    return block;
-  };
-
-  const auto magic = read_line();
-  if (!magic || (*magic != kEntryMagic && *magic != kEntryMagicV2)) {
-    return std::nullopt;
-  }
-  const auto micros_line = read_line();
-  if (!micros_line || micros_line->rfind("micros ", 0) != 0) return std::nullopt;
-  DecodedEntry entry;
+/// magic, malformed wall time or provenance, truncated blocks, trailing
+/// bytes).
+std::optional<DecodedEntry> decode_entry(std::string bytes) {
+  canon::StringSource in(std::move(bytes));
   try {
-    entry.micros = canon::parse_double(std::string_view(*micros_line).substr(7));
+    const auto magic = in.read_line();
+    if (!magic || *magic != kEntryMagic) return std::nullopt;
+    DecodedEntry entry;
+    entry.micros = canon::parse_double(canon::line_value(in.read_line(), "micros"));
+    const std::string provenance = canon::line_value(in.read_line(), "provenance");
+    if (provenance != "s" && provenance != "b") return std::nullopt;
+    entry.provenance = provenance[0];
+    entry.spec_text = canon::read_block(in, "spec_bytes");
+    entry.result_text = canon::read_block(in, "result_bytes");
+    if (!in.exhausted()) return std::nullopt;
+    return entry;
   } catch (const canon::FormatError&) {
     return std::nullopt;
   }
-  if (*magic == kEntryMagic) {
-    const auto provenance_line = read_line();
-    if (!provenance_line || provenance_line->size() != 12 ||
-        provenance_line->rfind("provenance ", 0) != 0) {
-      return std::nullopt;
-    }
-    entry.provenance = (*provenance_line)[11];
-    if (entry.provenance != 's' && entry.provenance != 'b') return std::nullopt;
-  }
-  auto spec_text = read_block("spec_bytes ");
-  if (!spec_text) return std::nullopt;
-  auto result_text = read_block("result_bytes ");
-  if (!result_text) return std::nullopt;
-  if (pos != bytes.size()) return std::nullopt;
-  entry.spec_text = std::move(*spec_text);
-  entry.result_text = std::move(*result_text);
-  return entry;
 }
 
 }  // namespace
@@ -163,7 +126,7 @@ std::optional<CachedPoint> Cache::load(const std::string& key_text) const {
     ++misses_;
     return std::nullopt;
   }
-  std::string bytes = buffer.str();
+  std::string bytes = std::move(buffer).str();
   if (fault_injector_ != nullptr && fault_injector_->truncate_read(key_hash)) {
     // An injected short read: the decoder must reject the prefix and the
     // quarantine path below must fire exactly as for real corruption.
@@ -175,7 +138,7 @@ std::optional<CachedPoint> Cache::load(const std::string& key_text) const {
     ++misses_;
   };
 
-  const auto entry = decode_entry(bytes);
+  const auto entry = decode_entry(std::move(bytes));
   if (!entry) {
     // Bytes exist but don't decode: a torn or bit-rotted entry. Move it
     // aside so it stops wasting a read per lookup and can't be mistaken

@@ -76,8 +76,8 @@ struct CachedPoint {
   /// bit-identical by contract, but shard-plan/timing consumers need the
   /// distinction because batch wall times are amortized over a lane group —
   /// warm hits replay the original provenance so a re-run cannot silently
-  /// relabel its timings. Entries written before the field default to 's'
-  /// (the batch path did not exist then).
+  /// relabel its timings. Every decodable entry stores it (the cache-entry
+  /// format v3 added the line together with the batch path).
   char provenance = 's';
 };
 

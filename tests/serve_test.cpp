@@ -8,6 +8,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -409,6 +410,32 @@ TEST(ServeService, FullQueueAnswersBusyInsteadOfGrowing) {
   ASSERT_TRUE(response.has_value()) << error;
   EXPECT_EQ(response->status, serve::Response::Status::kBusy);
   EXPECT_GE(service.stats().busy, 1u);
+}
+
+TEST(ServeService, StopWakesEveryIdleWorker) {
+  // request_stop() must wake every worker parked on the queue, whatever
+  // point of its wait the worker has reached. Each cycle stops a fresh
+  // service with several idle workers at a different offset after start().
+  // A wait() that misses its deadline counts as a failure; repeating the
+  // stop wakes a worker that missed the first notification, so the test
+  // fails instead of hanging.
+  serve::ServiceOptions options;
+  options.request_workers = 6;
+  int missed = 0;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    serve::Service service(options, 0);
+    service.start();
+    std::this_thread::sleep_for(std::chrono::microseconds(10 * (cycle % 50)));
+    service.request_stop();
+    auto joined = std::async(std::launch::async, [&service] { service.wait(); });
+    if (joined.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+      ++missed;
+      while (joined.wait_for(std::chrono::milliseconds(5)) != std::future_status::ready) {
+        service.request_stop();
+      }
+    }
+  }
+  EXPECT_EQ(missed, 0) << "wait() did not return within 5 s of request_stop()";
 }
 
 TEST(ServeService, MalformedBytesCostOneErrorReplyNeverTheDaemon) {

@@ -467,6 +467,49 @@ TEST(SpecSerial, MalformedValuesFailLoudly) {
   EXPECT_THROW((void)spec::parse_spec(bad), spec::SpecFormatError);
 }
 
+// Replaces the value on the (unique) line `  ...<key> <value>` of `text`.
+std::string with_value(const std::string& text, const std::string& key,
+                       const std::string& value) {
+  const std::size_t at = text.find(" " + key + " ");
+  EXPECT_NE(at, std::string::npos) << key << " in\n" << text;
+  const std::size_t start = at + key.size() + 2;
+  return text.substr(0, start) + value + text.substr(text.find('\n', start));
+}
+
+TEST(SpecSerial, OutOfRangeIntegersFailLoudlyInsteadOfNarrowing) {
+  // Narrowing would make the text neither round-trip nor fail: 2^32 + 1
+  // read into a 32-bit field would come back as 1.
+  spec::SystemSpec indoor = base_spec();
+  indoor.source = spec::IndoorPvPower{};
+  spec::SystemSpec mementos = base_spec();
+  mementos.policy = spec::Mementos{};
+  spec::SystemSpec adaptive = base_spec();
+  adaptive.policy = spec::AdaptiveBuffer{};
+  const struct {
+    spec::SystemSpec spec;
+    std::string key;
+  } cases[] = {{base_spec(), "node_substeps"},
+               {indoor, "days"},
+               {mementos, "poll_stride"},
+               {adaptive, "min_buffer"}};
+  for (const auto& c : cases) {
+    const std::string text = spec::serialize(c.spec);
+    EXPECT_NO_THROW((void)spec::parse_spec(with_value(text, c.key, "2")));
+    for (const char* value : {"4294967297", "4294967296", "18446744073709551617"}) {
+      EXPECT_THROW((void)spec::parse_spec(with_value(text, c.key, value)),
+                   spec::SpecFormatError)
+          << c.key << " " << value;
+    }
+  }
+  // Signed fields reject values past either end of int.
+  const std::string text = spec::serialize(base_spec());
+  for (const char* value : {"2147483648", "-2147483649"}) {
+    EXPECT_THROW((void)spec::parse_spec(with_value(text, "node_substeps", value)),
+                 spec::SpecFormatError)
+        << value;
+  }
+}
+
 TEST(SpecSerial, OpaqueCallbacksAreNonCacheable) {
   {
     spec::SystemSpec s = base_spec();

@@ -267,7 +267,8 @@ TEST(SweepCache, FsckAcceptsHealthyAndFlagsCorruptEntries) {
   const spec::SystemSpec s = cheap_spec();
   const std::string key = spec::serialize(s);
   auto system = spec::instantiate(s);
-  cache.store(key, system.run(), 10.0);
+  const sim::SimResult result = system.run();
+  cache.store(key, result, 10.0);
 
   const std::filesystem::path entry = cache.entry_path(key);
   EXPECT_EQ(sweep::Cache::fsck_entry(entry), "");
@@ -284,6 +285,19 @@ TEST(SweepCache, FsckAcceptsHealthyAndFlagsCorruptEntries) {
     out << "edc.CacheEntry v2\nmicros 1\nspec_bytes 3\nab";
   }
   EXPECT_NE(sweep::Cache::fsck_entry(entry), "");
+
+  // A well-formed entry of the retired v2 layout (no provenance line) is
+  // no longer decodable: it is flagged, and a load misses instead of
+  // replaying it.
+  {
+    const std::string result_text = sim::serialize_result(result);
+    std::ofstream out(entry, std::ios::binary | std::ios::trunc);
+    out << "edc.CacheEntry v2\nmicros 10\nspec_bytes " << key.size() << '\n'
+        << key << "result_bytes " << result_text.size() << '\n'
+        << result_text;
+  }
+  EXPECT_NE(sweep::Cache::fsck_entry(entry), "");
+  EXPECT_FALSE(cache.load(key).has_value());
 }
 
 TEST(SweepCache, MapBypassesTheCache) {
