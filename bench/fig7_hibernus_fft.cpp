@@ -17,11 +17,13 @@
 // energy arrivals), the regime energy-driven devices actually live in.
 // There the engine's analytic sleep/off/dead spans collapse the gaps to
 // O(1), the trace's quiet-segment index claims the sub-conduction arcs
-// inside each burst, and the headline speedup lands in the 25x class
-// (recorded per push in BENCH_7.json as BM_MacroPair/Fig7Gapped_*). The
-// *charge-ramp survey* swaps the sine bursts for DC bursts, where the
-// charge-span planner (circuit::ChargeSolution) makes every charging
-// ramp analytic too — the 40x class, gated at 25x.
+// inside each burst, and the speedup over the default reference path
+// lands in the 7-10x class (recorded per push in BENCH_7.json as
+// BM_MacroPair/Fig7Gapped_*; the reference path's own whole-window dead
+// spans already skip the gaps bit-exactly). The *charge-ramp survey* swaps
+// the sine bursts for DC bursts, where the charge-span planner
+// (circuit::ChargeSolution) makes every charging ramp analytic too — the
+// 12-14x class, gated at 6x.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -170,15 +172,18 @@ int main(int argc, char** argv) {
                 100.0 * span_coverage(gap_macro),
                 gap_macro.harvested - gap_fine.harvested,
                 gap_macro.consumed - gap_fine.consumed);
-    // An uncontended Release build measures ~25x here (BENCH_7.json: the
-    // trace's quiet-segment index claims the sub-conduction arcs inside
-    // each sine burst on top of PR 4's sleep/off/dead gap spans, which
-    // measured 8-9x). The hard gate sits at 15x: scheduler noise on a
-    // shared CI runner has headroom while a regression to the PR 4 class
-    // still fails loudly.
-    check(speedup >= 15.0,
-          "harvesting-gap survey macro speedup is in the >=25x class "
-          "(hard gate at 15x for contended-runner headroom)");
+    // An uncontended Release build measures 7-10x here (BENCH_7.json).
+    // The fine leg is the default reference path, whose dead-node skip
+    // spans each whole quiet window: ~3x cheaper than when this gate read
+    // ~25x against the one-span-per-step skip, with the macro leg
+    // unchanged. The gate bounds the macro leg against that fixed fine
+    // work: 15x x (33.5 / 96.3 ms, the fine leg's BM_MacroPair before and
+    // after) = 5.2x. A regression to the decay-spans-only class
+    // (sleep/off/dead gap spans without the trace's quiet-segment index,
+    // 8-9x against the old reference) reads ~3x now and still fails loudly.
+    check(speedup >= 5.0,
+          "harvesting-gap survey macro speedup is in the >=7x class "
+          "(hard gate at 5x for contended-runner headroom)");
     check(gap_macro.mcu.saves_completed == gap_fine.mcu.saves_completed &&
               gap_macro.mcu.restores == gap_fine.mcu.restores &&
               gap_macro.mcu.brownouts == gap_fine.mcu.brownouts &&
@@ -201,9 +206,13 @@ int main(int argc, char** argv) {
                 100.0 * span_coverage(ramp_macro),
                 ramp_macro.harvested - ramp_fine.harvested,
                 ramp_macro.consumed - ramp_fine.consumed);
-    check(ramp_speedup >= 25.0,
-          "charge-ramp survey macro speedup is in the >=40x class "
-          "(hard gate at 25x for contended-runner headroom)");
+    // An uncontended Release build measures 12-14x here (BENCH_7.json).
+    // With the charge-span planner ablated (charge_spans = ramp_spans =
+    // false) the same pair reads 2.7-2.8x, so the 6x gate fails that
+    // regression by 2x and leaves ~2x headroom for shared-runner noise.
+    check(ramp_speedup >= 6.0,
+          "charge-ramp survey macro speedup is in the >=12x class "
+          "(hard gate at 6x: the charge-planner-less ~3x must fail)");
     check(ramp_macro.mcu.boots == ramp_fine.mcu.boots &&
               ramp_macro.mcu.saves_completed == ramp_fine.mcu.saves_completed &&
               ramp_macro.mcu.brownouts == ramp_fine.mcu.brownouts &&

@@ -119,15 +119,18 @@ int main(int argc, char** argv) {
                   sim::serialize_result(batch_rows[i]);
     }
     check(identical, "batch rows are bit-identical to the scalar rows");
-    // An uncontended Release build measures ~3.4x here (BENCH_7.json) —
+    // An uncontended Release build measures 2.3-2.9x here (BENCH_7.json) —
     // the wind harvester's power model is the expensive per-substep
     // evaluation, and the batch path prices it once per substep instead
-    // of once per lane. The hard gate sits at 2x so shared-runner noise
+    // of once per lane. The scalar leg no longer evaluates it inside the
+    // turbine's quiet windows (the lane's cached window; the batch kernel
+    // keeps sampling), which took this ratio down from ~3.5x. The hard
+    // gate sits at 1.6x, as on the Fig 7 survey, so shared-runner noise
     // has headroom while a regression to scalar-equivalent (~1x) still
     // fails loudly.
-    check(speedup >= 2.0,
-          "batched-sweep speedup is in the >=3.4x class "
-          "(hard gate at 2x for contended-runner headroom)");
+    check(speedup >= 1.6,
+          "batched-sweep speedup is in the >=2.3x class "
+          "(hard gate at 1.6x for contended-runner headroom)");
     std::printf("\n");
   }
 
@@ -174,16 +177,18 @@ int main(int argc, char** argv) {
                 100.0 * macro_survey::span_coverage(survey_macro),
                 survey_macro.harvested - survey_fine.harvested,
                 survey_macro.consumed - survey_fine.consumed);
-    // An uncontended Release build measures ~12x here (BENCH_7.json): the
+    // An uncontended Release build measures 5-6.5x here (BENCH_7.json): the
     // certified piecewise-linear chain (ramp spans + chord-certified dark
     // windows) claims the gust arcs the quiet-index cells alone could not,
-    // on top of the inter-gust gaps. The hard gate sits at 10x so a
-    // regression to the constant-window-only ~5x class — let alone the
-    // hint-less ~1.0x class — fails loudly, with ~20% headroom for
-    // shared-runner noise.
-    check(survey_speedup >= 10.0,
-          "wind-survey macro speedup is in the >=12x class "
-          "(hard gate at 10x: constant-window-only ~5x must fail)");
+    // on top of the inter-gust gaps. The fine leg is the default reference
+    // path, which no longer samples the turbine inside its quiet windows
+    // and runs ~2x faster than when this gate read ~12x. Measured on the
+    // same machine, the constant-window-only class (ramp_spans = false)
+    // now reads 1.3-1.7x, so the 3x gate fails it — let alone the
+    // hint-less class — by ~2x, with ~2x headroom for shared-runner noise.
+    check(survey_speedup >= 3.0,
+          "wind-survey macro speedup is in the >=5x class "
+          "(hard gate at 3x: constant-window-only ~1.5x must fail)");
     check(survey_macro.mcu.boots == survey_fine.mcu.boots &&
               survey_macro.mcu.brownouts == survey_fine.mcu.brownouts &&
               survey_macro.mcu.saves_completed == survey_fine.mcu.saves_completed &&

@@ -194,6 +194,34 @@ BENCHMARK_CAPTURE(BM_MacroPair, Fig8WindSurvey_fine, fig8_wind_survey_spec(), fa
 BENCHMARK_CAPTURE(BM_MacroPair, Fig8WindSurvey_macro, fig8_wind_survey_spec(), true)
     ->Unit(benchmark::kMillisecond);
 
+// ---- dead-node skip on vs off on the default reference path ---------------
+// Each pair runs the identical spec on the fine reference path (macro
+// stepping off) with SimConfig::quiescent_fast_path toggled; results are
+// bit-identical but for the step-mix counters, so the off/on ratio is what
+// the lane's cached quiet window (whole-window dead spans, source-free
+// substeps) saves on that scenario class. tools/bench_gate --dead-gate
+// asserts these ratios in CI: the skip once degraded to one span per step
+// (on ~= off) for six PRs without a number moving.
+
+void BM_DeadSkipPair(benchmark::State& state, spec::SystemSpec s, bool fast_path) {
+  s.sim.macro_stepping = false;
+  s.sim.quiescent_fast_path = fast_path;
+  for (auto _ : state) {
+    auto system = spec::instantiate(s);
+    benchmark::DoNotOptimize(system.run());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+
+BENCHMARK_CAPTURE(BM_DeadSkipPair, RfIdle_off, rf_idle_spec(), false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DeadSkipPair, RfIdle_on, rf_idle_spec(), true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DeadSkipPair, BrownoutTail_off, brownout_tail_spec(), false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DeadSkipPair, BrownoutTail_on, brownout_tail_spec(), true)
+    ->Unit(benchmark::kMillisecond);
+
 // ---- scalar vs batched sweep execution on survey grids ---------------------
 // Each pair runs the identical grid through sweep::Runner with a single
 // worker thread, toggling only RunnerOptions::batch; the scalar/batch

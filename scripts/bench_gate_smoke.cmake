@@ -72,7 +72,34 @@ if(batch_missing_result EQUAL 0)
           "expected --batch-gate on a macro-only pair to fail:\n${batch_missing_out}")
 endif()
 
-# 5. Probe-count gates: the recorded cold search (16 simulated points)
+# 5. Dead-skip gates pair BM_DeadSkipPair/<Pair>_off with _on (the fixture
+# records 3x): a gate that holds, one the ratio misses, and a pair that
+# only exists as a BM_MacroPair (--dead-gate must not pair the macro
+# entries).
+execute_process(
+  COMMAND ${GATE} ${FIXTURE} --dead-gate RfIdle=2 --gate BrownoutTail=8
+  RESULT_VARIABLE dead_pass_result OUTPUT_VARIABLE dead_pass_out)
+if(NOT dead_pass_result EQUAL 0)
+  message(FATAL_ERROR "expected the dead-skip gate to pass, got exit ${dead_pass_result}:\n${dead_pass_out}")
+endif()
+if(NOT dead_pass_out MATCHES "\\[PASS\\] RfIdle")
+  message(FATAL_ERROR "missing PASS verdict for RfIdle:\n${dead_pass_out}")
+endif()
+execute_process(
+  COMMAND ${GATE} ${FIXTURE} --dead-gate RfIdle=5
+  RESULT_VARIABLE dead_fail_result OUTPUT_VARIABLE dead_fail_out)
+if(dead_fail_result EQUAL 0)
+  message(FATAL_ERROR "expected the 5x dead-skip gate to fail:\n${dead_fail_out}")
+endif()
+execute_process(
+  COMMAND ${GATE} ${FIXTURE} --dead-gate BrownoutTail=2
+  RESULT_VARIABLE dead_missing_result OUTPUT_VARIABLE dead_missing_out)
+if(dead_missing_result EQUAL 0)
+  message(FATAL_ERROR
+          "expected --dead-gate on a macro-only pair to fail:\n${dead_missing_out}")
+endif()
+
+# 6. Probe-count gates: the recorded cold search (16 simulated points)
 # clears its budget, the warm rerun clears the zero-point gate — both in
 # one invocation, alongside a ratio gate (mixed gate families must
 # compose).
@@ -88,7 +115,7 @@ if(NOT points_pass_out MATCHES "\\[PASS\\] Eq5SolveWarm")
   message(FATAL_ERROR "missing PASS verdict for Eq5SolveWarm:\n${points_pass_out}")
 endif()
 
-# 6. A budget the recorded count exceeds must fail loudly, and a search the
+# 7. A budget the recorded count exceeds must fail loudly, and a search the
 # telemetry file does not carry must fail, not silently pass.
 execute_process(
   COMMAND ${GATE} --points-csv ${POINTS_FIXTURE} --points-gate Eq5Solve=5

@@ -108,6 +108,12 @@ class SupplyDriver {
   /// nothing — returning t forces the caller to sample current_into —
   /// which is always correct; overrides must err quiet-side only, and may
   /// return +infinity for a permanently dead source.
+  ///
+  /// The fast path reads the floor-0 window in place of current_into: each
+  /// simulation lane caches quiescent_until(0.0, t) (sim/lane_core.h) and
+  /// its fine step takes exactly 0 for every substep instant inside it
+  /// without calling current_into. An over-claiming window therefore
+  /// changes results, not only speed.
   [[nodiscard]] virtual Seconds quiescent_until(Volts v_floor, Seconds t) const {
     (void)v_floor;
     return t;

@@ -320,14 +320,32 @@ SupplyNode::SupplyNode(Farads capacitance, Volts v_initial)
 SupplyNode::StepEnergy SupplyNode::step(Seconds t, Seconds dt,
                                         const SupplyDriver& driver, const Load& load,
                                         int substeps) {
+  return integrate(t, dt, driver, substeps, -kForever,
+                   [&](Seconds t_sub) { return load.current_draw(voltage_, t_sub); });
+}
+
+SupplyNode::StepEnergy SupplyNode::step(Seconds t, Seconds dt,
+                                        const SupplyDriver& driver, Amps i_load,
+                                        int substeps, Seconds quiet_until) {
+  return integrate(t, dt, driver, substeps, quiet_until,
+                   [i_load](Seconds) { return i_load; });
+}
+
+template <class LoadDraw>
+SupplyNode::StepEnergy SupplyNode::integrate(Seconds t, Seconds dt,
+                                             const SupplyDriver& driver, int substeps,
+                                             Seconds quiet_until, LoadDraw i_out_at) {
   EDC_CHECK(dt > 0.0, "dt must be positive");
   EDC_CHECK(substeps >= 1, "need at least one substep");
   StepEnergy energy;
   const Seconds h = dt / static_cast<double>(substeps);
   for (int i = 0; i < substeps; ++i) {
     const Seconds t_sub = t + h * static_cast<double>(i);
-    const Amps i_in = driver.current_into(voltage_, t_sub);
-    const Amps i_out = load.current_draw(voltage_, t_sub);
+    // Inside the caller's floor-0 quiet window the driver provably injects
+    // nothing at any node voltage (SupplyDriver::quiescent_until), so the
+    // sample it would return is exactly 0 and need not be asked for.
+    const Amps i_in = t_sub < quiet_until ? 0.0 : driver.current_into(voltage_, t_sub);
+    const Amps i_out = i_out_at(t_sub);
     const Amps i_bleed = bleed_ > 0.0 ? voltage_ / bleed_ : 0.0;
     EDC_ASSERT(i_in >= 0.0 && i_out >= 0.0);
     Volts v_next = voltage_ + (i_in - i_out - i_bleed) / capacitance_ * h;

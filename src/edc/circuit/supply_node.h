@@ -209,6 +209,18 @@ class SupplyNode {
   StepEnergy step(Seconds t, Seconds dt, const SupplyDriver& driver,
                   const Load& load, int substeps = 4);
 
+  /// The simulation loop's step (sim::Simulator): the same substeps with a
+  /// load draw `i_load` that is constant over the step — the MCU's draw
+  /// depends only on its discrete state, which nothing advances between
+  /// substeps (BatchKernel hoists SoaLanes::i_load the same way) — and
+  /// with every substep instant before `quiet_until` taking zero injected
+  /// current without calling the driver. The caller must have obtained
+  /// `quiet_until` from driver.quiescent_until(0.0, t0) with t0 <= t; the
+  /// quiescent_until contract then makes the result bit-identical to
+  /// sampling the driver at every substep.
+  StepEnergy step(Seconds t, Seconds dt, const SupplyDriver& driver, Amps i_load,
+                  int substeps, Seconds quiet_until);
+
   /// Structure-of-arrays view over the node state of many *lockstep* lanes
   /// (batched sweeps, sim/batch_kernel.h): contiguous parallel arrays of
   /// `count` lanes, each lane an independent node advancing through the
@@ -260,6 +272,12 @@ class SupplyNode {
                                              Amps load) const;
 
  private:
+  /// The one substep body of both step() entries; `i_out_at(t_sub)` is the
+  /// load draw at the start of the substep.
+  template <class LoadDraw>
+  StepEnergy integrate(Seconds t, Seconds dt, const SupplyDriver& driver, int substeps,
+                       Seconds quiet_until, LoadDraw i_out_at);
+
   Farads capacitance_;
   Volts voltage_;
   Ohms bleed_ = 0.0;  // 0 = no bleed

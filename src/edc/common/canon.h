@@ -56,6 +56,15 @@ class FormatError : public std::invalid_argument {
 
 // ---- scalar <-> text ------------------------------------------------------
 
+/// "v<version>", the tag of every versioned container and cache directory.
+/// Built by appending: GCC 12 reports a false -Wrestrict positive on
+/// `"v" + std::to_string(version)`.
+[[nodiscard]] inline std::string version_tag(int version) {
+  std::string tag = "v";
+  tag += std::to_string(version);
+  return tag;
+}
+
 /// Shortest exactly-round-tripping decimal form of `v` (std::to_chars).
 [[nodiscard]] std::string double_text(double v);
 

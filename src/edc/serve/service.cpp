@@ -507,21 +507,23 @@ void Service::wait() {
   }
 }
 
+Service::Admission Service::admit(Socket& socket) {
+  const std::lock_guard<std::mutex> lock(queue_mutex_);
+  if (!running_.load()) {
+    socket.close();
+    return Admission::kStopped;
+  }
+  if (queue_.size() >= options_.queue_capacity) return Admission::kBusy;
+  queue_.push_back(std::move(socket));
+  queue_cv_.notify_one();
+  return Admission::kQueued;
+}
+
 void Service::accept_loop() {
   while (running_.load()) {
     auto socket = listener_.accept();
     if (!socket) break;  // shutdown
-    bool busy = false;
-    {
-      const std::lock_guard<std::mutex> lock(queue_mutex_);
-      if (queue_.size() >= options_.queue_capacity) {
-        busy = true;
-      } else {
-        queue_.push_back(std::move(*socket));
-        queue_cv_.notify_one();
-      }
-    }
-    if (busy) {
+    if (admit(*socket) == Admission::kBusy) {
       // Explicit backpressure: the queue is bounded, so overload answers
       // a loud `busy` frame right now instead of growing a silent backlog.
       engine_.note_busy();

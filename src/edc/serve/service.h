@@ -197,6 +197,15 @@ class Service {
   [[nodiscard]] ServiceStats stats() const { return engine_.stats(); }
   [[nodiscard]] Engine& engine() noexcept { return engine_; }
 
+  /// What became of one accepted connection.
+  enum class Admission { kQueued, kBusy, kStopped };
+  /// The accept loop's one way into the request queue (public so tests can
+  /// drive it without racing a real accept). Under the queue mutex: a
+  /// stopped service closes the connection at once — its workers may have
+  /// drained the queue and returned, so a queued socket would never be
+  /// answered — and a full queue leaves it to the caller to answer `busy`.
+  [[nodiscard]] Admission admit(Socket& socket);
+
  private:
   void accept_loop();
   void worker_loop();

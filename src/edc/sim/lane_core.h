@@ -17,7 +17,10 @@
 // begin_step() ends the lane at t_end, or asks the quiescent engine for a
 // span capped at t_end and the next governor deadline and books it: probe
 // samples replayed from the analytic trajectory, time and energy through
-// Mcu::note_quiescent_span, a lattice jump. end_step() is the post-step
+// Mcu::note_quiescent_span, a lattice jump. With the quiescent fast path
+// on, the lane caches one floor-0 driver quiet window
+// (SupplyDriver::quiescent_until(0.0, t)), which the dead-node skip and the
+// scalar fine step read (quiet_until()). end_step() is the post-step
 // sequence:
 //
 //   1. deliver the voltage transition to the MCU (power-on, comparator
@@ -62,6 +65,12 @@ class LaneCore {
   /// Lattice index and start instant (dt * step) of the next step.
   [[nodiscard]] std::uint64_t step() const noexcept { return step_; }
   [[nodiscard]] Seconds time() const noexcept { return t_; }
+  /// End of the lane's cached floor-0 driver quiet window for the fine
+  /// step a begin_step() returning true asked for: the driver injects
+  /// nothing at any node voltage at instants in [time(), this). -infinity
+  /// while no window is known (or the fast path is off). The scalar path
+  /// reads it; the batch path samples its shared source once per substep.
+  [[nodiscard]] Seconds quiet_until() const noexcept { return quiet_until_; }
 
   /// Starts the step at time(): finishes the lane once t_end is reached,
   /// or books a quiescent span when the engine plans one. Returns true
@@ -76,13 +85,22 @@ class LaneCore {
   [[nodiscard]] SimResult take_result();
 
  private:
+  /// Asks the driver for a new floor-0 quiet window once the cached one
+  /// is stale, at most every kQuietRetrySteps steps while it certifies
+  /// nothing.
+  void refresh_quiet_window();
   /// Replays the fine path's probe schedule across a planned span.
   void replay_probes(const QuiescentSpan& span);
   /// End-of-run bookkeeping: end time, probe waveforms, final snapshots.
   void finish();
 
+  /// Steps to wait after a quiet-window query that certified nothing.
+  /// Trades only speed: a step without a window samples the driver.
+  static constexpr std::uint64_t kQuietRetrySteps = 100;
+
   SimConfig config_;
   circuit::SupplyNode* node_;
+  const circuit::SupplyDriver* driver_;
   mcu::Mcu* mcu_;
   mcu::FrequencyGovernor* governor_;
   QuiescentEngine engine_;
@@ -96,6 +114,13 @@ class LaneCore {
   mcu::McuState last_state_;
   Seconds next_probe_ = 0.0;
   Seconds next_governor_ = 0.0;
+  /// The lane's one cached driver quiet window, [query instant,
+  /// quiet_until_) from quiescent_until(0.0, t). The lane only moves
+  /// forward, so its start never needs checking. Whole steps
+  /// [.., quiet_end_step_) lie inside it with every substep instant.
+  Seconds quiet_until_;
+  std::uint64_t quiet_end_step_ = 0;
+  std::uint64_t quiet_retry_step_ = 0;
   std::vector<double> probe_vcc_, probe_freq_, probe_state_, probe_power_;
   SimResult result_;  ///< energy totals and step-mix counters accumulate here
 };
@@ -106,19 +131,39 @@ inline bool LaneCore::begin_step() {
     return false;
   }
   if (!engine_enabled_) return true;
+  // The dead-node skip is the planner's only reader of the window; in any
+  // other state it is refreshed only before a fine step (below).
+  if (config_.quiescent_fast_path && node_->voltage() == 0.0 &&
+      mcu_->state() == mcu::McuState::off) {
+    refresh_quiet_window();
+  }
   const Seconds dt = config_.dt;
   std::uint64_t max_steps = steps_starting_before(step_, config_.t_end, dt);
   if (governor_ != nullptr) {
     max_steps = std::min(max_steps, steps_starting_before(step_, next_governor_, dt));
   }
-  const auto span = engine_.plan(t_, max_steps);
-  if (!span) return true;
+  const QuietWindow quiet{quiet_until_, quiet_end_step_ > step_ ? quiet_end_step_ - step_ : 0};
+  const auto span = engine_.plan(t_, max_steps, quiet);
+  if (!span) {
+    // Refreshed before every fine step in both paths, although only the
+    // scalar one reads it there: the cache, and so every later dead span,
+    // then evolves identically in both.
+    if (config_.quiescent_fast_path) refresh_quiet_window();
+    return true;
+  }
   // A planned span must make progress: a zero-step span would spin the
   // loop forever at the same t (the plan/fine-step livelock a zero-length
   // quiet-index sliver once caused). Fail loudly instead.
   EDC_CHECK(span->steps >= 1, "quiescent span must cover >= 1 step");
   if (probing_) replay_probes(*span);
-  mcu_->note_quiescent_span(static_cast<double>(span->steps) * dt, span->consumed);
+  if (span->dead) {
+    // The fine path books each dead step's time_off += dt (and a zero
+    // energy) on its own; replaying the additions keeps every metric bit
+    // identical however long the span.
+    for (std::uint64_t k = 0; k < span->steps; ++k) mcu_->note_quiescent_span(dt);
+  } else {
+    mcu_->note_quiescent_span(static_cast<double>(span->steps) * dt, span->consumed);
+  }
   result_.harvested += span->harvested;  // nonzero for charge/ramp spans only
   result_.consumed += span->consumed;
   result_.dissipated += span->dissipated;

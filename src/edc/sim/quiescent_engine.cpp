@@ -71,8 +71,8 @@ bool QuiescentEngine::enabled() const noexcept {
   return config_.quiescent_fast_path || config_.macro_stepping;
 }
 
-std::optional<QuiescentSpan> QuiescentEngine::plan(Seconds t,
-                                                   std::uint64_t max_steps) const {
+std::optional<QuiescentSpan> QuiescentEngine::plan(Seconds t, std::uint64_t max_steps,
+                                                   const QuietWindow& quiet) const {
   if (max_steps == 0) return std::nullopt;
   const mcu::McuState state = mcu_->state();
   if (state == mcu::McuState::off) {
@@ -92,7 +92,7 @@ std::optional<QuiescentSpan> QuiescentEngine::plan(Seconds t,
     // The bit-exact dead-node skip also covers drivers without usable
     // hints (per-substep probing), so try it even when a macro plan
     // found no provably-quiet step.
-    if (config_.quiescent_fast_path) return plan_dead(t, max_steps);
+    if (config_.quiescent_fast_path) return plan_dead(t, max_steps, quiet);
     return std::nullopt;
   }
   if (config_.macro_stepping &&
@@ -108,8 +108,8 @@ std::optional<QuiescentSpan> QuiescentEngine::plan(Seconds t,
   return std::nullopt;
 }
 
-std::optional<QuiescentSpan> QuiescentEngine::plan_dead(
-    Seconds t, std::uint64_t /*max_steps*/) const {
+std::optional<QuiescentSpan> QuiescentEngine::plan_dead(Seconds t, std::uint64_t max_steps,
+                                                        const QuietWindow& quiet) const {
   // With the node clamped at exactly 0 V and no injected current, every
   // energy flow of the step is identically zero (all flows integrate
   // i * v_mid with v_mid = 0) and neither the node voltage nor the MCU
@@ -120,31 +120,27 @@ std::optional<QuiescentSpan> QuiescentEngine::plan_dead(
   // dead node in the slow path; the skip must never engage then.
   if (node_->voltage() != 0.0 || mcu_->power().v_on <= 0.0) return std::nullopt;
   QuiescentSpan span;
-  span.steps = 1;
+  span.dead = true;
   span.v_end = 0.0;
   span.decay = node_->decay_from(0.0, 0.0);
-  const Seconds dt = config_.dt;
-  // One quiescent_until() hint covers a whole dead span: a step fully
-  // inside the cached quiet window skips on a single comparison instead of
-  // one virtual driver probe per ODE substep. Spans stay single-step so
-  // the per-step metric additions (time_off += dt) remain bit-identical
-  // to the fine path's accumulation order.
-  if (t >= quiet_from_ && t + dt <= quiet_until_) return span;
-  const Seconds hint = driver_->quiescent_until(0.0, t);
-  if (hint > t) {
-    quiet_from_ = t;
-    quiet_until_ = hint;
-    if (t + dt <= hint) return span;
+  // Every whole step inside the quiet window goes in one span. The
+  // booking replays the fine path's per-step metric additions, so the
+  // length does not change any result bit.
+  if (quiet.steps > 0) {
+    span.steps = std::min(quiet.steps, max_steps);
+    return span;
   }
-  // No usable hint (or the window ends mid-step): fall back to probing the
-  // substep instants. The hint is conservative, so the final decision is
-  // identical to the historical per-substep check.
-  const Seconds h = dt / static_cast<double>(config_.node_substeps);
+  // No window over this whole step (no usable hint, or the window ends
+  // mid-step): probe the substep instants past the window, exactly the
+  // samples the fine step would take.
+  const Seconds h = config_.dt / static_cast<double>(config_.node_substeps);
   for (int i = 0; i < config_.node_substeps; ++i) {
-    if (driver_->current_into(0.0, t + h * static_cast<double>(i)) > 0.0) {
+    const Seconds t_sub = t + h * static_cast<double>(i);
+    if (t_sub >= quiet.until && driver_->current_into(0.0, t_sub) > 0.0) {
       return std::nullopt;
     }
   }
+  span.steps = 1;
   return span;
 }
 

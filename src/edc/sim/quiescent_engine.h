@@ -32,13 +32,15 @@
 //
 // Two accuracy regimes coexist (SimConfig):
 //   * quiescent_fast_path (default on): only the dead-node case (MCU off,
-//     V = 0, source quiet) — *bit-exact*, single-step spans.
+//     V = 0, source quiet) — *bit-exact*; one span covers every whole step
+//     inside the lane's cached driver quiet window (sim/lane_core.h).
 //   * macro_stepping (opt-in): the analytic decay spans — agree with the
 //     fine path within its own discretisation error (the contract
 //     differential-tested in tests/macro_step_test.cpp).
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "edc/circuit/supply_driver.h"
@@ -55,7 +57,8 @@ namespace edc::sim {
 /// Mcu::note_quiescent_span, ledger shares into the run totals, probe
 /// samples replayed from `decay` — and a bit-exact dead-node skip is
 /// simply the degenerate span whose bookings and trajectory are
-/// identically zero.
+/// identically zero (its time is booked one dt at a time, as the fine
+/// path adds it).
 struct QuiescentSpan {
   std::uint64_t steps = 0;       ///< always >= 1 when planned
   Volts v_end = 0.0;             ///< node voltage at the end of the span
@@ -65,6 +68,9 @@ struct QuiescentSpan {
   Amps draw = 0.0;               ///< the state's constant current (probe replay)
   bool charging = false;         ///< trajectory lives in `charge`, not `decay`
   bool ramping = false;          ///< trajectory lives in `ramp` (overrides both)
+  /// Bit-exact dead-node span: nothing changes but time, which the loop
+  /// books one dt at a time, as the fine path would.
+  bool dead = false;
   circuit::DecaySolution decay;        ///< analytic decay trajectory
   circuit::ChargeSolution charge;      ///< analytic charge trajectory
   circuit::LinearRampSolution ramp;    ///< analytic linear-source trajectory
@@ -74,6 +80,16 @@ struct QuiescentSpan {
     if (ramping) return ramp.voltage_at(elapsed);
     return charging ? charge.voltage_at(elapsed) : decay.voltage_at(elapsed);
   }
+};
+
+/// A cached floor-0 driver quiet window, from SupplyDriver::quiescent_until
+/// (0.0, t0) with t0 at or before the planning instant: the driver injects
+/// nothing at any node voltage at instants before `until`, and the `steps`
+/// whole lattice steps from the planning instant on lie inside it with
+/// every substep instant. The default is no window.
+struct QuietWindow {
+  Seconds until = -std::numeric_limits<Seconds>::infinity();
+  std::uint64_t steps = 0;
 };
 
 class QuiescentEngine {
@@ -91,8 +107,11 @@ class QuiescentEngine {
   /// there). Returns nullopt when the current MCU state is not quiescent,
   /// the policy does not certify its wake conditions, or not even one whole
   /// step is provably quiet — the caller then takes one fine step.
-  [[nodiscard]] std::optional<QuiescentSpan> plan(Seconds t,
-                                                  std::uint64_t max_steps) const;
+  /// `quiet` is the caller's cached driver quiet window (see LaneCore):
+  /// the dead-node skip spans its whole steps in one go, and samples the
+  /// driver only at instants past its end.
+  [[nodiscard]] std::optional<QuiescentSpan> plan(Seconds t, std::uint64_t max_steps,
+                                                  const QuietWindow& quiet = {}) const;
 
  private:
   /// Largest provably-quiet step count <= n_cap for a span following
@@ -106,10 +125,11 @@ class QuiescentEngine {
       std::uint64_t n_cap) const;
 
   /// Bit-exact dead-node skip (MCU off, V exactly 0, v_on above ground):
-  /// single steps gated on the cached driver quiet window, falling back to
-  /// per-substep probing — decision identical to the historical fast path.
-  [[nodiscard]] std::optional<QuiescentSpan> plan_dead(Seconds t,
-                                                       std::uint64_t max_steps) const;
+  /// one span over the whole steps inside the quiet window (capped at
+  /// max_steps), else a single step whose substep instants past the
+  /// window all probe quiet — decision identical to the fine path.
+  [[nodiscard]] std::optional<QuiescentSpan> plan_dead(Seconds t, std::uint64_t max_steps,
+                                                       const QuietWindow& quiet) const;
 
   /// Analytic decay span while the MCU is off below its power-on threshold
   /// (no watchers armed: the horizon is driver activity alone).
@@ -151,10 +171,6 @@ class QuiescentEngine {
   const circuit::SupplyNode* node_;
   const circuit::SupplyDriver* driver_;
   const mcu::Mcu* mcu_;
-  /// Cached driver quiet horizon for plan_dead: valid for steps fully
-  /// inside [quiet_from_, quiet_until_). Starts empty.
-  mutable Seconds quiet_from_ = 0.0;
-  mutable Seconds quiet_until_ = 0.0;
 };
 
 }  // namespace edc::sim

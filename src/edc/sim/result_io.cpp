@@ -104,7 +104,7 @@ void fields(IO& io, Rec<IO, SimResult> result) {
 
 std::string serialize_result(const SimResult& result) {
   canon::Writer w;
-  w.begin("edc.SimResult", "v" + std::to_string(kResultFormatVersion));
+  w.begin("edc.SimResult", canon::version_tag(kResultFormatVersion));
   fields(w, result);
   w.end();
   return w.take();
@@ -113,7 +113,7 @@ std::string serialize_result(const SimResult& result) {
 SimResult parse_result(const std::string& text) {
   canon::Reader r(text);
   const std::string_view version = r.begin_tagged("edc.SimResult");
-  if (version != "v" + std::to_string(kResultFormatVersion)) {
+  if (version != canon::version_tag(kResultFormatVersion)) {
     throw FormatError("unsupported result format version: '" +
                       std::string(version) + "'");
   }

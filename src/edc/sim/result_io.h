@@ -24,9 +24,12 @@
 namespace edc::sim {
 
 // v2: SimResult gained the step-mix diagnostics fine_steps / span_steps /
-// spans (PR 5), so cached rows replay the same coverage numbers a fresh
+// spans, so cached rows replay the same coverage numbers a fresh
 // simulation reports.
-inline constexpr int kResultFormatVersion = 2;
+// v3: the dead-node skip books one span per cached driver quiet window
+// instead of one per step, so `spans` and `span_steps` of the same run
+// differ from v2 rows (every other field is unchanged).
+inline constexpr int kResultFormatVersion = 3;
 
 /// Canonical byte string of the result (always succeeds).
 [[nodiscard]] std::string serialize_result(const SimResult& result);

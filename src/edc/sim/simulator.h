@@ -28,10 +28,15 @@ struct SimConfig {
   int node_substeps = 4;         ///< ODE substeps per main step
   bool stop_on_completion = true;
   Seconds probe_interval = 0.0;  ///< 0 = no waveform probes
-  /// Skip the full node/MCU machinery while the node is fully discharged
-  /// (MCU off, V = 0, source dead). Bit-exact with the slow path — at 0 V
-  /// every energy flow is identically zero and the node clamps at ground —
-  /// so this is purely a fast path; disable only to benchmark it.
+  /// Bit-exact use of the driver's floor-0 quiet window
+  /// (SupplyDriver::quiescent_until(0.0, t), cached once per lane): while
+  /// the node is fully discharged (MCU off, V = 0) every whole step inside
+  /// the window is skipped in one span — at 0 V every energy flow is
+  /// identically zero and the node clamps at ground — and fine-step
+  /// substeps inside it take zero injected current without sampling the
+  /// driver. Results are bit-identical with it off except for the
+  /// step-mix counters, so this is purely a fast path; disable only to
+  /// benchmark it.
   bool quiescent_fast_path = true;
   /// Opt-in analytic macro-stepping of every quiescent regime (see
   /// sim/quiescent_engine.h): while the MCU is off *or* sleeping/waiting/

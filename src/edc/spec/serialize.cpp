@@ -406,7 +406,7 @@ void fields(IO& io, Rec<IO, FleetSpec> fleet) {
 template <typename T>
 std::string write_versioned(std::string_view container, const T& record) {
   Writer w;
-  w.begin(container, "v" + std::to_string(kSpecFormatVersion));
+  w.begin(container, canon::version_tag(kSpecFormatVersion));
   fields(w, record);
   w.end();
   return w.take();
@@ -416,7 +416,7 @@ template <typename T>
 T read_versioned(std::string_view container, const std::string& text) {
   Reader r(text);
   const std::string_view version = r.begin_tagged(container);
-  if (version != "v" + std::to_string(kSpecFormatVersion)) {
+  if (version != canon::version_tag(kSpecFormatVersion)) {
     throw SpecFormatError("unsupported " + std::string(container) +
                           " format version: '" + std::string(version) + "'");
   }

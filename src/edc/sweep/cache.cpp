@@ -9,6 +9,7 @@
 #include <thread>
 #include <utility>
 
+#include "edc/common/canon.h"
 #include "edc/sim/result_io.h"
 #include "edc/spec/serialize.h"
 #include "edc/sweep/fault_injector.h"
@@ -91,8 +92,10 @@ std::optional<DecodedEntry> decode_entry(std::string bytes) {
 Cache::Cache(std::filesystem::path directory) : dir_(std::move(directory)) {}
 
 std::filesystem::path Cache::versioned_directory() const {
-  return dir_ / ("v" + std::to_string(spec::kSpecFormatVersion) + "-" +
-                 std::to_string(sim::kResultFormatVersion));
+  std::string name = canon::version_tag(spec::kSpecFormatVersion);
+  name += '-';
+  name += std::to_string(sim::kResultFormatVersion);
+  return dir_ / name;
 }
 
 std::filesystem::path Cache::entry_path(const std::string& key_text) const {

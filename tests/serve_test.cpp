@@ -3,6 +3,8 @@
 // socket-level end-to-end byte identity, bounded-queue backpressure, and
 // graceful degradation under an injected fault storm.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -436,6 +438,48 @@ TEST(ServeService, StopWakesEveryIdleWorker) {
     }
   }
   EXPECT_EQ(missed, 0) << "wait() did not return within 5 s of request_stop()";
+}
+
+TEST(ServeService, ConnectionAdmittedAfterStopIsClosedNotStranded) {
+  // The accept loop's race, made deterministic through the admission
+  // seam: accept() hands over a connection just before request_stop(), and
+  // by the time it is admitted every worker has drained the queue and
+  // returned. The connection must be closed at once, not queued for
+  // nobody until ~Service.
+  serve::ServiceOptions options;
+  options.request_workers = 2;
+  serve::Service service(options, 0);
+  service.start();
+
+  serve::Request ping;
+  ping.op = serve::Request::Op::kPing;
+  {
+    // While running, an admitted connection is queued and answered.
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    serve::Socket server_end(fds[0]);
+    serve::Stream client{serve::Socket(fds[1])};
+    EXPECT_EQ(service.admit(server_end), serve::Service::Admission::kQueued);
+    ASSERT_TRUE(client.write_all(serve::encode_request(ping)));
+    std::string error;
+    const auto response = serve::read_response(client, &error);
+    ASSERT_TRUE(response.has_value()) << error;
+    EXPECT_EQ(response->status, serve::Response::Status::kOk);
+  }
+
+  service.request_stop();
+  service.wait();
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  serve::Socket server_end(fds[0]);
+  const serve::Socket client(fds[1]);
+  EXPECT_EQ(service.admit(server_end), serve::Service::Admission::kStopped);
+  EXPECT_FALSE(server_end.valid());
+  // The client reads end-of-stream now instead of blocking.
+  pollfd readable{client.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&readable, 1, 5000), 1);
+  char byte = 0;
+  EXPECT_EQ(::recv(client.fd(), &byte, 1, 0), 0);
 }
 
 TEST(ServeService, MalformedBytesCostOneErrorReplyNeverTheDaemon) {

@@ -2,12 +2,17 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "edc/core/system.h"
 #include "edc/sim/ascii_plot.h"
+#include "edc/sim/result_io.h"
 #include "edc/sim/table.h"
+#include "edc/spec/system_spec.h"
 #include "edc/trace/csv.h"
 #include "edc/workloads/crc32.h"
 
@@ -113,6 +118,211 @@ TEST(Simulator, QuiescentFastPathIsBitExact) {
   ASSERT_NE(slow_vcc, nullptr);
   ASSERT_EQ(fast_vcc->size(), slow_vcc->size());
   EXPECT_EQ(fast_vcc->samples(), slow_vcc->samples());
+}
+
+// ---- the lane's cached driver quiet window --------------------------------
+
+/// Wraps a driver, recording every current_into instant and every floor-0
+/// quiet window it hands out. With hints off it claims nothing, like the
+/// SupplyDriver default, so the loop must sample every substep.
+class SpyDriver final : public circuit::SupplyDriver {
+ public:
+  SpyDriver(const circuit::SupplyDriver& inner, bool hints) : inner_(&inner), hints_(hints) {}
+
+  [[nodiscard]] Amps current_into(Volts v_node, Seconds t) const override {
+    calls.push_back(t);
+    return inner_->current_into(v_node, t);
+  }
+  [[nodiscard]] Seconds quiescent_until(Volts v_floor, Seconds t) const override {
+    if (!hints_) return t;
+    const Seconds until = inner_->quiescent_until(v_floor, t);
+    if (v_floor == 0.0 && until > t) windows.emplace_back(t, until);
+    return until;
+  }
+  [[nodiscard]] std::string name() const override { return "spy"; }
+
+  mutable std::vector<Seconds> calls;
+  mutable std::vector<std::pair<Seconds, Seconds>> windows;
+
+ private:
+  const circuit::SupplyDriver* inner_;
+  bool hints_;
+};
+
+struct SpiedRun {
+  SimResult result;
+  std::vector<Seconds> calls;
+  std::vector<std::pair<Seconds, Seconds>> windows;
+};
+
+/// Runs `s` with its own driver seen through a SpyDriver.
+SpiedRun run_spied(const spec::SystemSpec& s, bool hints) {
+  auto system = spec::instantiate(s);
+  SpyDriver spy(system.driver(), hints);
+  Simulator simulator(system.sim_config(), system.node(), spy, system.mcu());
+  if (system.governor() != nullptr) simulator.set_governor(system.governor());
+  SpiedRun run{simulator.run(), std::move(spy.calls), std::move(spy.windows)};
+  return run;
+}
+
+std::string without_step_mix(SimResult result) {
+  result.fine_steps = 0;
+  result.span_steps = 0;
+  result.spans = 0;
+  return serialize_result(result);
+}
+
+/// Driver samples taken at instants some handed-out window covered.
+std::size_t calls_inside_windows(const SpiedRun& run) {
+  std::size_t inside = 0;
+  for (const Seconds t : run.calls) {
+    // Windows are asked for at increasing instants and never overlap, so
+    // the last one starting at or before t is the only candidate.
+    const auto after = std::upper_bound(
+        run.windows.begin(), run.windows.end(), t,
+        [](Seconds value, const std::pair<Seconds, Seconds>& w) { return value < w.first; });
+    if (after != run.windows.begin() && t < std::prev(after)->second) ++inside;
+  }
+  return inside;
+}
+
+TEST(Simulator, QuietWindowSkipsDriverSamplesBitExactly) {
+  std::vector<double> v_samples, p_samples;
+  for (int i = 0; i <= 60; ++i) {
+    v_samples.push_back(i % 20 < 7 ? 3.3 : 0.0);
+    p_samples.push_back(i % 16 < 5 ? 3e-3 : 0.0);
+  }
+  trace::RfFieldSource::Params rf;
+  rf.field_power = 2e-3;
+  rf.burst_length = 0.1;
+  rf.burst_period = 0.4;
+  const std::vector<std::pair<std::string, spec::SourceSpec>> sources = {
+      {"sine", spec::SineSource{3.3, 4.0, 0.0, 50.0}},
+      {"square", spec::SquareSource{3.3, 5.0, 0.3, 0.0, 50.0}},
+      {"rf", spec::RfFieldPower{rf, 11, 1.2}},
+      {"voltage-trace",
+       spec::VoltageTraceSource{trace::Waveform(0.0, 0.02, v_samples), 50.0, "trace"}},
+      {"power-trace", spec::PowerTraceSource{trace::Waveform(0.0, 0.02, p_samples), "ptrace"}},
+  };
+  for (const auto& [name, source] : sources) {
+    SCOPED_TRACE(name);
+    spec::SystemSpec s;
+    s.source = source;
+    s.storage.capacitance = 22e-6;
+    s.storage.bleed = 5000.0;
+    s.workload.kind = "crc";
+    s.sim.t_end = 1.2;
+    s.sim.stop_on_completion = false;
+    s.sim.probe_interval = 1e-3;
+    const SpiedRun hinted = run_spied(s, true);
+    const SpiedRun sampled = run_spied(s, false);
+    EXPECT_EQ(without_step_mix(hinted.result), without_step_mix(sampled.result));
+    EXPECT_FALSE(hinted.windows.empty());
+    EXPECT_EQ(calls_inside_windows(hinted), 0u);
+    EXPECT_LT(hinted.calls.size(), sampled.calls.size());
+    EXPECT_EQ(hinted.result.fine_steps + hinted.result.span_steps,
+              sampled.result.fine_steps + sampled.result.span_steps);
+  }
+}
+
+TEST(Simulator, InfiniteHintSpansTheWholeDeadHorizon) {
+  // NullDriver's hint is +infinity: from a dead node the lane books one
+  // span up to t_end, or up to each governor deadline, and replays the
+  // probes the fine path would have taken.
+  for (const bool governed : {false, true}) {
+    SCOPED_TRACE(governed ? "governed" : "plain");
+    spec::SystemSpec s;
+    s.source = spec::DcSource{3.3, 50.0};  // replaced by the NullDriver below
+    s.storage.capacitance = 22e-6;
+    s.workload.kind = "crc";
+    s.sim.t_end = 0.5;
+    s.sim.probe_interval = 1e-3;
+    if (governed) s.governor.emplace();
+    const auto run = [&](bool fast_path) {
+      spec::SystemSpec variant = s;
+      variant.sim.quiescent_fast_path = fast_path;
+      auto system = spec::instantiate(variant);
+      const circuit::NullDriver dead;
+      Simulator simulator(system.sim_config(), system.node(), dead, system.mcu());
+      if (system.governor() != nullptr) simulator.set_governor(system.governor());
+      return simulator.run();
+    };
+    const SimResult fast = run(true);
+    const SimResult fine = run(false);
+    EXPECT_EQ(without_step_mix(fast), without_step_mix(fine));
+    EXPECT_EQ(fast.span_steps + fast.fine_steps, fine.fine_steps);
+    ASSERT_NE(fast.probes.find("vcc"), nullptr);
+    EXPECT_EQ(fast.probes.find("vcc")->size(), fine.probes.find("vcc")->size());
+    if (!governed) {
+      EXPECT_EQ(fast.spans, 1u);
+      EXPECT_EQ(fast.fine_steps, 0u);
+    } else {
+      // Every governor deadline is processed on a fine step; the span
+      // between two deadlines is one span.
+      EXPECT_GT(fast.fine_steps, 1u);
+      EXPECT_EQ(fast.spans, fast.fine_steps);
+    }
+  }
+}
+
+/// Quiet (hint and samples) before `quiet_until`; silent but hint-less up
+/// to `on_at`; then a 1 mA source. Records every current_into instant.
+class MidStepWindowDriver final : public circuit::SupplyDriver {
+ public:
+  MidStepWindowDriver(Seconds quiet_until, Seconds on_at, bool hints)
+      : quiet_until_(quiet_until), on_at_(on_at), hints_(hints) {}
+
+  [[nodiscard]] Amps current_into(Volts v_node, Seconds t) const override {
+    calls.push_back(t);
+    return t >= on_at_ && v_node < 3.0 ? 1e-3 : 0.0;
+  }
+  [[nodiscard]] Seconds quiescent_until(Volts, Seconds t) const override {
+    return hints_ && t < quiet_until_ ? quiet_until_ : t;
+  }
+  [[nodiscard]] std::string name() const override { return "mid-step"; }
+
+  mutable std::vector<Seconds> calls;
+
+ private:
+  Seconds quiet_until_, on_at_;
+  bool hints_;
+};
+
+TEST(Simulator, QuietWindowEndingMidStepFallsBackToSampling) {
+  spec::SystemSpec s;
+  s.source = spec::DcSource{3.3, 50.0};  // replaced by the test driver below
+  s.storage.capacitance = 22e-6;
+  s.workload.kind = "crc";
+  s.sim.t_end = 5e-3;
+  s.sim.probe_interval = 1e-4;
+  const Seconds dt = s.sim.dt;
+  // The window ends between the 2nd and 3rd substep of step 100.
+  const Seconds until = dt * 100.0 + dt * 0.4;
+  const Seconds on_at = dt * 200.0;
+  const auto run = [&](bool hints, std::vector<Seconds>* calls) {
+    auto system = spec::instantiate(s);
+    const MidStepWindowDriver driver(until, on_at, hints);
+    Simulator simulator(system.sim_config(), system.node(), driver, system.mcu());
+    SimResult result = simulator.run();
+    *calls = driver.calls;
+    return result;
+  };
+  std::vector<Seconds> hinted_calls, sampled_calls;
+  const SimResult hinted = run(true, &hinted_calls);
+  const SimResult sampled = run(false, &sampled_calls);
+  EXPECT_EQ(without_step_mix(hinted), without_step_mix(sampled));
+  EXPECT_GT(hinted.fine_steps, 0u);  // the source did come on
+  // Steps 0-99 are one span; step 100 samples only its substeps past the
+  // window; steps 101-199 sample every substep (no hint), one span each.
+  EXPECT_EQ(hinted.span_steps, 200u);
+  EXPECT_EQ(hinted.spans, 101u);
+  EXPECT_EQ(sampled.spans, 200u);
+  std::size_t in_step_100 = 0;
+  for (const Seconds t : hinted_calls) {
+    EXPECT_GE(t, until);
+    if (t < dt * 101.0) ++in_step_100;
+  }
+  EXPECT_EQ(in_step_100, 2u);
 }
 
 TEST(Simulator, TransitionsIncludeSaveAndRestore) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "edc/checkpoint/null_policy.h"
+#include "edc/core/system.h"
 #include "edc/spec/fleet_spec.h"
 #include "edc/spec/serialize.h"
 #include "edc/spec/system_spec.h"
@@ -716,6 +717,43 @@ TEST(SpecSerial, GoldenHashesAreStableAcrossRuns) {
          }() << " — if the format change is intentional, bump "
                 "spec::kSpecFormatVersion and regenerate ALL golden files in "
                 "one pass with EDC_UPDATE_GOLDEN=1";
+}
+
+// The dead-node skip and the fine step's source-free substeps are pure
+// speed: across the whole pinned matrix (every source and policy family,
+// plain / probed+governed / macro loops, scalar and batch runners) a run
+// with the fast path on serializes to exactly the bytes of the same point
+// with it off, once the step-mix diagnostics that count the skipped work
+// are cleared.
+TEST(SpecSerial, FastPathOnEqualsOffAcrossThePinnedMatrix) {
+  const auto canonical_without_step_mix = [](sim::SimResult result) {
+    result.fine_steps = 0;
+    result.span_steps = 0;
+    result.spans = 0;
+    return sim::serialize_result(result);
+  };
+  std::size_t compared = 0;
+  for (const NamedSource& source : pinned_sources()) {
+    const sweep::Grid grid = pinned_grid(source);
+    sweep::RunnerOptions scalar;
+    scalar.threads = 1;
+    sweep::RunnerOptions batch = scalar;
+    batch.batch = true;
+    batch.batch_lanes = 8;
+    const auto scalar_rows = sweep::Runner(scalar).run(grid);
+    const auto batch_rows = sweep::Runner(batch).run(grid);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      sweep::Point point = grid.point(i);
+      if (!point.spec.sim.quiescent_fast_path) continue;  // the off mode itself
+      const std::string key = source.name + "/" + point.labels[0] + "/" + point.labels[1];
+      point.spec.sim.quiescent_fast_path = false;
+      const std::string off = canonical_without_step_mix(spec::instantiate(point.spec).run());
+      EXPECT_EQ(canonical_without_step_mix(scalar_rows[i]), off) << key << "/scalar";
+      EXPECT_EQ(canonical_without_step_mix(batch_rows[i]), off) << key << "/batch";
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, pinned_sources().size() * 8 * 3);
 }
 
 // ------------------------------------------------- fleet hash coverage -----

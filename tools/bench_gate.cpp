@@ -13,6 +13,12 @@
 //
 //   bench_gate BENCH_6.json --batch-gate Fig7Survey=2 --batch-gate Eq5Grid=1.2
 //
+// --dead-gate does the same for the dead-node skip pairs
+// BM_DeadSkipPair/<Name>_off and _on (SimConfig::quiescent_fast_path
+// toggled on the default reference path), asserting the off/on ratio:
+//
+//   bench_gate BENCH_7.json --dead-gate RfIdle=1.8
+//
 // --points-gate turns the solver-guided searches' probe accounting into
 // gates: --points-csv FILE reads the search telemetry CSVs that
 // eq5_crossover --solve / design_query emit
@@ -34,8 +40,7 @@
 //
 // The parser is deliberately minimal: it scans for the "name",
 // "real_time" and "time_unit" keys of each benchmark object in the order
-// google-benchmark emits them. Unknown pairs and non-BM_MacroPair entries
-// are ignored.
+// google-benchmark emits them. Entries no gate names are ignored.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -171,13 +176,15 @@ bool collect_points(const std::string& path,
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [BENCH.json ...] [--gate Pair=MinRatio ...] "
-               "[--batch-gate Pair=MinRatio ...]\n"
+               "[--batch-gate Pair=MinRatio ...] [--dead-gate Pair=MinRatio ...]\n"
                "          [--points-csv SEARCH.csv ...] "
                "[--points-gate Name=MaxPoints ...]\n"
                "  --gate       Pair names a BM_MacroPair/<Pair>_fine & _macro "
                "pair; asserts fine/macro >= MinRatio.\n"
                "  --batch-gate Pair names a BM_BatchPair/<Pair>_scalar & "
                "_batch pair; asserts scalar/batch >= MinRatio.\n"
+               "  --dead-gate  Pair names a BM_DeadSkipPair/<Pair>_off & _on "
+               "pair; asserts off/on >= MinRatio.\n"
                "  --points-csv reads a search telemetry CSV "
                "(name,probes,simulated,warm,grid_points).\n"
                "  --points-gate asserts the named search simulated <= "
@@ -188,12 +195,25 @@ int usage(const char* argv0) {
 
 }  // namespace
 
+/// One family of paired benchmarks: the flag that gates it and the names
+/// of its slow (reference) and fast (gated) legs.
+struct PairFamily {
+  const char* flag;
+  const char* prefix;
+  const char* slow_suffix;
+  const char* fast_suffix;
+};
+
+constexpr PairFamily kPairFamilies[] = {
+    {"--gate", "BM_MacroPair/", "_fine", "_macro"},
+    {"--batch-gate", "BM_BatchPair/", "_scalar", "_batch"},
+    {"--dead-gate", "BM_DeadSkipPair/", "_off", "_on"},
+};
+
 struct Gate {
   std::string pair;
   double min_ratio = 0.0;
-  /// false: BM_MacroPair/<pair>_{fine,macro}; true:
-  /// BM_BatchPair/<pair>_{scalar,batch}.
-  bool batch = false;
+  const PairFamily* family = nullptr;
 };
 
 struct PointsGate {
@@ -207,9 +227,11 @@ int main(int argc, char** argv) {
   std::vector<Gate> gates;
   std::vector<PointsGate> points_gates;
   for (int i = 1; i < argc; ++i) {
-    const bool is_gate = std::strcmp(argv[i], "--gate") == 0;
-    const bool is_batch_gate = std::strcmp(argv[i], "--batch-gate") == 0;
-    if ((is_gate || is_batch_gate) && i + 1 < argc) {
+    const PairFamily* family = nullptr;
+    for (const PairFamily& f : kPairFamilies) {
+      if (std::strcmp(argv[i], f.flag) == 0) family = &f;
+    }
+    if (family != nullptr && i + 1 < argc) {
       const std::string spec = argv[++i];
       const std::size_t eq = spec.find('=');
       if (eq == std::string::npos || eq == 0) return usage(argv[0]);
@@ -219,7 +241,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "bad %s ratio: '%s'\n", argv[i - 1], spec.c_str());
         return 2;
       }
-      gates.push_back({spec.substr(0, eq), min_ratio, is_batch_gate});
+      gates.push_back({spec.substr(0, eq), min_ratio, family});
     } else if (std::strcmp(argv[i], "--points-csv") == 0 && i + 1 < argc) {
       points_files.emplace_back(argv[++i]);
     } else if (std::strcmp(argv[i], "--points-gate") == 0 && i + 1 < argc) {
@@ -277,10 +299,10 @@ int main(int argc, char** argv) {
     if (!ok) ++failures;
   }
   for (const Gate& gate : gates) {
-    // The slow (reference) leg over the fast (gated) leg, in both families.
-    const char* prefix = gate.batch ? "BM_BatchPair/" : "BM_MacroPair/";
-    const char* slow_suffix = gate.batch ? "_scalar" : "_fine";
-    const char* fast_suffix = gate.batch ? "_batch" : "_macro";
+    // The slow (reference) leg over the fast (gated) leg, in every family.
+    const char* prefix = gate.family->prefix;
+    const char* slow_suffix = gate.family->slow_suffix;
+    const char* fast_suffix = gate.family->fast_suffix;
     const auto slow = samples.find(prefix + gate.pair + slow_suffix);
     const auto fast = samples.find(prefix + gate.pair + fast_suffix);
     if (slow == samples.end() || fast == samples.end()) {
